@@ -11,10 +11,9 @@ kernels on and off:
   coordinate refresh + index-array fold, vs the per-net Python fold
   (``scale.hpwl_naive``);
 * ``scale.anneal_cost`` — a short simulated-annealing run with the
-  vec-constructed engine vs the plain incremental engine (capped at
-  ``ANNEAL_MAX_CELLS``; expect ~1.0x — move scoring is dict-bound by
-  design, see ``docs/SCALING.md`` — the row guards against regressions
-  at scale);
+  incremental engine (capped at ``ANNEAL_MAX_CELLS``; a single-engine
+  row — move scoring is dict-bound by design, see ``docs/SCALING.md`` —
+  that guards against regressions at scale);
 * ``scale.quad_assembly`` — sparse COO assembly of the quadratic
   placement system vs the per-net Python loop;
 * ``scale.sta_full`` — a full forward STA sweep through
@@ -42,7 +41,7 @@ without multi-hour mapping runs.  Each synth size times:
   included.
 
 Every timed pair is also *checked*: the bench asserts bitwise equality
-of the two engines' results before recording a row, so a committed
+of the two engines' results before recording a pair's rows, so a committed
 ``BENCH_*.json`` proves speed and exactness together.  Row names carry
 the gate-count suffix (``scale.hpwl_20000``); the largest size (per
 family) also writes the canonical unsuffixed rows that
@@ -211,20 +210,11 @@ def _hpwl_rows(netlist, placement, repeats: int) -> Dict[str, float]:
 def _anneal_rows(netlist, placement, repeats: int) -> Dict[str, float]:
     from repro.place.anneal import simulated_annealing
 
-    def run(vec: bool):
-        work = copy.deepcopy(placement)
-        simulated_annealing(work, netlist, seed=3, moves_per_cell=2,
-                            vec=vec)
-        return work.positions
+    def run():
+        simulated_annealing(copy.deepcopy(placement), netlist, seed=3,
+                            moves_per_cell=2)
 
-    got = run(True)
-    want = run(False)
-    if got != want:
-        raise AssertionError("anneal engines diverge under vec kernels")
-    return {
-        "scale.anneal_cost": _best_of(lambda: run(True), repeats),
-        "scale.anneal_cost_naive": _best_of(lambda: run(False), repeats),
-    }
+    return {"scale.anneal_cost": _best_of(run, repeats)}
 
 
 def _quad_rows(netlist, region, repeats: int) -> Dict[str, float]:

@@ -33,8 +33,15 @@ __all__ = ["cm_of_merged", "cm_of_fans"]
 def cm_of_merged(
     covered: Iterable[SubjectNode], state: PlacementState
 ) -> Point:
-    """Centre of mass of the covered nodes' placePositions."""
-    points = [state.place_position(node) for node in covered]
+    """Centre of mass of the covered nodes' placePositions.
+
+    The nodes are summed in uid order: ``covered`` is usually a match's
+    frozenset, whose iteration order follows object addresses, and float
+    sums in a run-dependent order made delay-mode Lily covers differ
+    between processes.
+    """
+    points = [state.place_position(node)
+              for node in sorted(covered, key=lambda n: n.uid)]
     return center_of_mass(points)
 
 

@@ -45,7 +45,7 @@ def main(argv=None) -> int:
                              "tree (the paper's dynamic-programming tree "
                              "mapper, default), cuts (priority-cut "
                              "enumeration + NPN boolean matching), fusion "
-                             "(best of tree/cuts per output cone), or "
+                             "(the better whole cover of tree/cuts), or "
                              "lut:K (FPGA-style K-input LUT covering)")
     parser.add_argument("--svg", default=None,
                         help="write the Lily layout as SVG (report only)")
@@ -80,9 +80,9 @@ def main(argv=None) -> int:
                              "spill tier instead of one server (implies "
                              "--server; --procs workers per shard)")
     parser.add_argument("--naive-perf", action="store_true",
-                        help="disable the mapper fast paths (match "
-                             "memoization, pattern index, net cache, "
-                             "incremental placement/timing); results are "
+                        help="disable the mapper fast paths (pattern "
+                             "index, net cache, incremental placement, "
+                             "warm re-place, array kernels); results are "
                              "identical, just slower")
     parser.add_argument("--naive-kernels", action="store_true",
                         help="disable only the struct-of-arrays numpy "

@@ -176,7 +176,7 @@ def place_and_route(
         from repro.place.anneal import simulated_annealing
 
         simulated_annealing(detailed, netlist, seed=anneal_seed,
-                            incremental=incremental, vec=vec_place)
+                            incremental=incremental)
     routed = route_design(mapped, detailed, pads, vec=vec_route)
     chip = estimate_chip(
         routed.chip_width, routed.chip_height, mapped.total_cell_area()
@@ -241,21 +241,20 @@ def mis_flow(
 ) -> FlowResult:
     """Pipeline 1: MIS mapping, layout afterwards.
 
-    ``perf`` selects the mapper's fast-path configuration (memoization,
-    pattern indexing, net caching, ``jobs``); the default enables every
+    ``perf`` selects the mapper's fast-path configuration (pattern
+    indexing, net caching, ``jobs``); the default enables every
     cache single-threaded.  Results are bit-identical across settings.
 
     ``verify`` accepts the legacy booleans or an audit level (``"fast"`` /
     ``"full"``, see :func:`_run_verification`).
 
     ``matcher`` injects a pre-built structural matcher (``repro.serve``
-    passes one wired to its warm pattern index and cross-job template
-    memo); ``None`` lets the mapper build its own from ``perf``.
+    passes one wired to its warm pattern index); ``None`` lets the mapper build its own from ``perf``.
 
     ``mapper`` selects the covering backend (see
     :func:`repro.map.cuts.parse_mapper_spec`): ``"tree"`` is the classic
     DAGON/MIS tree matcher, ``"cuts"`` the priority-cut DAG coverer,
-    ``"fusion"`` the best-cover-per-cone race of both, and ``"lut:K"``
+    ``"fusion"`` the better whole-netlist cover of both, and ``"lut:K"``
     the FPGA-style K-input LUT workload.  Non-tree backends report their
     spec in ``FlowResult.mapper`` (e.g. ``"mis-cuts"``) since they change
     the answer, unlike ``perf``.

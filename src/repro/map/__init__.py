@@ -13,7 +13,6 @@ from repro.map.cuts import (
     CutMapper,
     CutMapResult,
     FusionMapper,
-    FusionMapResult,
     MapperSpec,
     MapperSpecError,
     parse_mapper_spec,
@@ -23,7 +22,6 @@ __all__ = [
     "CutMapper",
     "CutMapResult",
     "FusionMapper",
-    "FusionMapResult",
     "MapperSpec",
     "MapperSpecError",
     "parse_mapper_spec",

@@ -107,13 +107,8 @@ class BaseMapper:
         self.patterns = pattern_set_for(library)
         self.perf = perf if perf is not None else PerfOptions()
         if matcher is None:
-            if self.perf.memoize_matches or self.perf.index_patterns:
-                matcher = MemoMatcher(
-                    self.patterns,
-                    tree_mode=tree_mode,
-                    memoize=self.perf.memoize_matches,
-                    index=self.perf.index_patterns,
-                )
+            if self.perf.index_patterns:
+                matcher = MemoMatcher(self.patterns, tree_mode=tree_mode)
             else:
                 matcher = Matcher(self.patterns, tree_mode=tree_mode)
         self.matcher = matcher

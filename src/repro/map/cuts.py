@@ -29,9 +29,9 @@ pattern shapes.  This module implements the other classical paradigm:
    workload, where every cut function is implementable and the objective
    degenerates to LUT count.
 5. **Fusion** (:class:`FusionMapper`) — runs the tree mapper *and* the
-   cut mapper on the same subject graph and keeps, per output cone, the
-   cover that is better under the selected objective, so the fused area
-   is never worse than either backend on any cone.
+   cut mapper on the same subject graph and returns the whole-netlist
+   cover that is better under the selected objective, so the fused
+   result is never worse than either backend.
 
 Everything is deterministic: cuts, bindings and tie-breaks are ordered by
 explicit keys, so two processes mapping the same graph produce bit-stable
@@ -76,9 +76,8 @@ __all__ = [
     "CutCoverRecord",
     "CutMapResult",
     "CutMapper",
-    "FusionChoice",
-    "FusionMapResult",
     "FusionMapper",
+    "worst_arrival",
     "DEFAULT_PRIORITY_CUTS",
     "NPN_FULL_WIDTH",
     "MAX_CUT_K",
@@ -492,8 +491,6 @@ class CutMapper:
         self.instances: Dict[int, MappedNode] = {}
         self.memo: Dict[int, CutSolution] = {}
         self.cut_cover: List[CutCoverRecord] = []
-        self.provenance: Dict[str, Tuple[SubjectNode,
-                                         FrozenSet[SubjectNode]]] = {}
         self._cuts: Dict[int, List[Tuple[SubjectNode, ...]]] = {}
         self._inverters: Dict[str, MappedNode] = {}
         self._gate_counter = 0
@@ -508,7 +505,6 @@ class CutMapper:
         self.instances = {}
         self.memo = {}
         self.cut_cover = []
-        self.provenance = {}
         self._inverters = {}
         self._gate_counter = 0
         for pi in subject.primary_inputs:
@@ -781,7 +777,6 @@ class CutMapper:
             pin_negated=binding.pin_negated,
             output_negated=binding.output_negated,
         ))
-        self.provenance[name] = (node, solution.covered - {node})
         if OBS.enabled:
             OBS.metrics.counter("cut.gates_committed").inc()
 
@@ -789,94 +784,31 @@ class CutMapper:
 # -- mapping fusion -----------------------------------------------------------
 
 
-class _ProvenanceTreeAreaMapper(MisAreaMapper):
-    """Area tree mapper that records instance -> subject-match provenance."""
+def worst_arrival(result: MapResult) -> float:
+    """Worst estimated primary-output arrival of a mapped result.
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.provenance: Dict[str, Tuple[SubjectNode,
-                                         FrozenSet[SubjectNode]]] = {}
-
-    def on_commit(self, node, solution, instance) -> None:
-        """Record the committed match's root and interior doves."""
-        self.provenance[instance.name] = (node,
-                                          frozenset(solution.match.inner))
-
-
-class _ProvenanceTreeDelayMapper(MisDelayMapper):
-    """Delay tree mapper that records instance -> subject-match provenance."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.provenance: Dict[str, Tuple[SubjectNode,
-                                         FrozenSet[SubjectNode]]] = {}
-
-    def on_commit(self, node, solution, instance) -> None:
-        """Record the committed match's root and interior doves."""
-        self.provenance[instance.name] = (node,
-                                          frozenset(solution.match.inner))
-
-
-@dataclass(frozen=True)
-class FusionChoice:
-    """Which backend won one output cone, and at what cost."""
-
-    output: str
-    winner: str  # "tree" | "cuts"
-    tree_cost: float
-    cut_cost: float
-
-
-@dataclass
-class FusionMapResult(MapResult):
-    """A fused :class:`~repro.map.base.MapResult` plus both source covers."""
-
-    choices: List[FusionChoice] = field(default_factory=list)
-    tree_result: Optional[MapResult] = None
-    cut_result: Optional[CutMapResult] = None
-
-
-def _mapped_cone_instances(driver: MappedNode) -> List[MappedNode]:
-    """All gate instances in the transitive fanin of ``driver`` (inclusive)."""
-    seen: Set[str] = set()
-    order: List[MappedNode] = []
-    stack = [driver]
-    while stack:
-        node = stack.pop()
-        if node.name in seen or not node.is_gate:
-            continue
-        seen.add(node.name)
-        order.append(node)
-        stack.extend(node.fanins)
-    return order
-
-
-def _cone_cost(driver: MappedNode, mode: str) -> float:
-    """One mapped cone's standalone cost under the selected objective.
-
-    Area mode sums cell area over the cone's transitive fanin (shared
-    gates count fully in every cone, identically for both backends, so
-    the comparison is fair); timing mode reads the driver's estimated
-    arrival stamped at commit time.
+    Reads the arrival each backend stamps on a gate instance at commit
+    time; outputs driven by a primary input or a constant count 0.
     """
-    if mode == "timing":
+    worst = 0.0
+    for po in result.mapped.primary_outputs:
+        driver = po.fanins[0]
         if driver.is_gate and driver.arrival is not None:
-            return driver.arrival
-        return 0.0
-    return sum(g.cell.area for g in _mapped_cone_instances(driver))
+            worst = max(worst, driver.arrival)
+    return worst
 
 
 class FusionMapper:
-    """Best-cover-per-cone fusion of the tree and cut backends.
+    """Best-of-both fusion of the tree and cut backends.
 
     Runs :class:`~repro.map.mis.MisAreaMapper` (or the delay variant) and
-    :class:`CutMapper` on the same subject graph, then assembles a fused
-    netlist by copying, for every primary output, the cone of whichever
-    backend scored better under the objective — so the fused cover is
-    never worse than either backend on any cone.  The lifecycle history
-    is replayed from the copied instances' match provenance, keeping the
-    full ``repro.verify`` audit (lifecycle + cone partition + per-cone
-    equivalence) applicable unchanged.
+    :class:`CutMapper` on the same subject graph and returns whichever
+    whole-netlist result is better under the objective, unchanged: area
+    mode compares cell area; timing mode compares the worst estimated
+    primary-output arrival, then cell area, then prefers the tree cover.
+    The fused cover is therefore never worse than either backend, and
+    the winner's own audit (including the cut-cover re-derivation when
+    the cut backend wins) applies unchanged.
     """
 
     def __init__(
@@ -892,130 +824,23 @@ class FusionMapper:
         self.library = library
         self.mode = mode
         self.perf = perf
-        if mode == "area":
-            self.tree_mapper = _ProvenanceTreeAreaMapper(
-                library, perf=perf, matcher=matcher)
-        else:
-            self.tree_mapper = _ProvenanceTreeDelayMapper(
-                library, perf=perf, matcher=matcher)
+        tree_class = MisAreaMapper if mode == "area" else MisDelayMapper
+        self.tree_mapper = tree_class(library, perf=perf, matcher=matcher)
         self.cut_mapper = CutMapper(library, mode=mode,
                                     cuts_per_node=cuts_per_node, perf=perf)
 
-    def map(self, subject: SubjectGraph) -> FusionMapResult:
-        """Map with both backends and keep the best cover per cone."""
+    def map(self, subject: SubjectGraph) -> MapResult:
+        """Map with both backends and return the better result."""
         with OBS.span("fusion.tree"):
             tree_result = self.tree_mapper.map(subject)
         with OBS.span("fusion.cuts"):
             cut_result = self.cut_mapper.map(subject)
-        sources = {
-            "tree": (tree_result, self.tree_mapper.provenance, "t"),
-            "cuts": (cut_result, self.cut_mapper.provenance, "c"),
-        }
-        fused = MappedNetwork(f"{subject.name}_mapped")
-        lifecycle = LifecycleTracker()
-        for pi in subject.primary_inputs:
-            fused.add_primary_input(pi.name)
-        copies: Dict[Tuple[str, str], MappedNode] = {}
-        constants: Dict[bool, MappedNode] = {}
-        choices: List[FusionChoice] = []
-        # Tie-break toward the backend with the better whole-netlist cover:
-        # mixing sources duplicates logic the cones share, so equal-cost
-        # cones should not fragment the cover for nothing.
-        tie_winner = ("tree" if tree_result.cell_area <= cut_result.cell_area
-                      else "cuts")
-        for po in subject.primary_outputs:
-            tree_driver = tree_result.mapped[po.name].fanins[0]
-            cut_driver = cut_result.mapped[po.name].fanins[0]
-            tree_cost = _cone_cost(tree_driver, self.mode)
-            cut_cost = _cone_cost(cut_driver, self.mode)
-            if tree_cost < cut_cost:
-                winner = "tree"
-            elif cut_cost < tree_cost:
-                winner = "cuts"
-            else:
-                winner = tie_winner
-            result, provenance, tag = sources[winner]
-            driver = result.mapped[po.name].fanins[0]
-            copy = self._copy_cone(fused, driver, tag, provenance,
-                                   copies, constants, lifecycle)
-            fused.add_primary_output(po.name, copy)
-            choices.append(FusionChoice(po.name, winner, tree_cost, cut_cost))
-            if OBS.enabled:
-                OBS.metrics.counter(f"fusion.cones_{winner}").inc()
-        fused.check()
-        live_gates = [
-            n for n in subject.transitive_fanin(subject.primary_outputs)
-            if n.is_gate
-        ]
-        if not lifecycle.finished(live_gates):
-            raise RuntimeError(
-                "fusion left live nodes that are neither hawk nor dove")
-        return FusionMapResult(
-            fused, subject, lifecycle,
-            list(range(len(subject.primary_outputs))),
-            choices=choices, tree_result=tree_result, cut_result=cut_result)
-
-    def _copy_cone(
-        self,
-        fused: MappedNetwork,
-        driver: MappedNode,
-        tag: str,
-        provenance: Dict[str, Tuple[SubjectNode, FrozenSet[SubjectNode]]],
-        copies: Dict[Tuple[str, str], MappedNode],
-        constants: Dict[bool, MappedNode],
-        lifecycle: LifecycleTracker,
-    ) -> MappedNode:
-        """Copy one source cone into the fused netlist (post-order DFS).
-
-        Instances are renamed ``<tag>_<name>`` so the two sources never
-        collide; primary inputs and constants are shared.  Every copied
-        instance's provenance replays into the fused lifecycle (hawk for
-        the match root, doves for the interior), which reconstructs a
-        legal Figure 2.2 history covering all live gates.
-        """
-        stack: List[Tuple[MappedNode, bool]] = [(driver, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if node.is_pi:
-                continue
-            if node.is_constant:
-                if node.const_value not in constants:
-                    constants[node.const_value] = fused.add_constant(
-                        node.name, node.const_value)
-                continue
-            key = (tag, node.name)
-            if key in copies:
-                continue
-            if not expanded:
-                stack.append((node, True))
-                for fanin in node.fanins:
-                    stack.append((fanin, False))
-                continue
-            fanins = [self._copied(fused, fanin, tag, copies, constants)
-                      for fanin in node.fanins]
-            instance = fused.add_gate(f"{tag}_{node.name}", node.cell, fanins)
-            instance.arrival = node.arrival
-            instance.position = node.position
-            copies[key] = instance
-            entry = provenance.get(node.name)
-            if entry is not None:
-                root, inner = entry
-                lifecycle.make_hawk(root)
-                for dove in sorted(inner, key=lambda n: n.uid):
-                    lifecycle.make_dove(dove)
-        return self._copied(fused, driver, tag, copies, constants)
-
-    @staticmethod
-    def _copied(
-        fused: MappedNetwork,
-        node: MappedNode,
-        tag: str,
-        copies: Dict[Tuple[str, str], MappedNode],
-        constants: Dict[bool, MappedNode],
-    ) -> MappedNode:
-        """The fused-netlist node standing for a source-netlist node."""
-        if node.is_pi:
-            return fused[node.name]
-        if node.is_constant:
-            return constants[node.const_value]
-        return copies[(tag, node.name)]
+        if self.mode == "timing":
+            tree_key = (worst_arrival(tree_result), tree_result.cell_area)
+            cut_key = (worst_arrival(cut_result), cut_result.cell_area)
+        else:
+            tree_key, cut_key = tree_result.cell_area, cut_result.cell_area
+        winner = "cuts" if cut_key < tree_key else "tree"
+        if OBS.enabled:
+            OBS.metrics.counter(f"fusion.wins_{winner}").inc()
+        return cut_result if winner == "cuts" else tree_result

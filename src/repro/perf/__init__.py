@@ -2,12 +2,10 @@
 
 Independent, individually-switchable techniques (see ``PerfOptions``):
 
-* **match memoization** (:mod:`repro.perf.memomatch`) — structural matches
-  depend only on the truncated fanin DAG below a node, so nodes with equal
-  canonical subtree signatures share one memoized match list;
-* **pattern indexing** (:mod:`repro.perf.patindex`) — the pattern set is
-  pre-bucketed by root/child base-function kinds and required gate height,
-  so the matcher tries only plausible patterns;
+* **pattern indexing** (:mod:`repro.perf.patindex`, used by
+  :mod:`repro.perf.memomatch`) — the pattern set is pre-bucketed by
+  root/child base-function kinds and required gate height, so the matcher
+  tries only plausible patterns;
 * **incremental net caching** (:mod:`repro.perf.netcache`) — per-net
   true-fanout lists and pin points are cached across cones and invalidated
   by delta on commit instead of recomputed from scratch per candidate;
@@ -17,8 +15,9 @@ Independent, individually-switchable techniques (see ``PerfOptions``):
 * **incremental placement bookkeeping** (:mod:`repro.perf.incremental`) —
   per-net bounding-box caches giving the annealer and the detailed swap
   pass O(pins-of-moved-cell) cost deltas instead of full-net re-folds;
-* **incremental timing** (:mod:`repro.timing.incremental`) — dirty-node
-  frontier propagation so a gate move re-times only its fanout cone.
+* **incremental timing** (:mod:`repro.timing.incremental`, always on for
+  its callers) — dirty-node frontier propagation so a gate move re-times
+  only its fanout cone.
 
 Every path is bit-identical to the naive one it replaces (asserted by the
 golden-equivalence tests) and reports cache hit/miss counters through
@@ -28,11 +27,9 @@ golden-equivalence tests) and reports cache hit/miss counters through
 import importlib
 
 from repro.perf.options import PerfOptions
-from repro.perf.signature import subtree_signature
 
 __all__ = [
     "PerfOptions",
-    "subtree_signature",
     "PatternIndex",
     "MemoMatcher",
     "NetCache",

@@ -356,9 +356,8 @@ class StampedNetBoxCache(_BoxCacheBase):
         nets: Sequence[Sequence[str]],
         positions: Dict[str, Point],
         fixed: Dict[str, Point],
-        vec: bool = False,
     ) -> None:
-        super().__init__(nets, positions, fixed, vec=vec)
+        super().__init__(nets, positions, fixed)
         self.clock = 0
         self.cell_stamp: Dict[str, int] = {
             pin: 0 for pin in self.cell_nets

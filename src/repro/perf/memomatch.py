@@ -1,72 +1,43 @@
-"""Signature-memoizing, index-pruned structural matcher.
+"""Index-pruned structural matcher.
 
 Drop-in :class:`~repro.match.treematch.Matcher` replacement used by the
-mappers when the corresponding :class:`~repro.perf.options.PerfOptions`
-switches are on.  Three layers, outermost first:
-
-1. **Signature memo** — the canonical truncated-subtree signature
-   (:mod:`repro.perf.signature`) keys a table of match *templates*
-   (pattern + input/covered node indices in the signature's first-visit
-   enumeration); signature-equal nodes re-bind the templates instead of
-   re-running the commutative matcher.
-2. **Pattern index** — first-time signatures enumerate only the patterns
-   the :class:`~repro.perf.patindex.PatternIndex` deems plausible.
-3. The inherited naive enumeration.
-
-Both layers preserve the naive matcher's match order exactly, which the
-DP cover's tie-breaking observes; the golden-equivalence tests assert
-bit-identical mappings.  The matcher is safe to share across worker
-threads: memo entries are deterministic pure functions of structure, so
-racing writers store identical values.
+mappers when :attr:`~repro.perf.options.PerfOptions.index_patterns` is on:
+each node enumerates only the patterns the
+:class:`~repro.perf.patindex.PatternIndex` deems plausible, in the naive
+matcher's order, which the DP cover's tie-breaking observes; the
+golden-equivalence tests assert bit-identical mappings.  The matcher is
+safe to share across worker threads: the index is read-only after build
+and the per-graph gate heights are deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.library.patterns import CellPattern, PatternSet
+from repro.library.patterns import PatternSet
 from repro.match.treematch import _KIND_FOR_TYPE, Match, Matcher
 from repro.network.subject import SubjectGraph, SubjectNode
 from repro.obs import OBS
 from repro.perf.patindex import PatternIndex
-from repro.perf.signature import subtree_signature
 
 __all__ = ["MemoMatcher"]
 
-#: One memoized match: (pattern, input node indices, covered node indices).
-_Template = Tuple[CellPattern, Tuple[int, ...], Tuple[int, ...]]
-
 
 class MemoMatcher(Matcher):
-    """A :class:`Matcher` with signature memoization and pattern indexing."""
+    """A :class:`Matcher` that tries only the pattern index's candidates."""
 
     def __init__(
         self,
         patterns: PatternSet,
         tree_mode: bool = False,
-        memoize: bool = True,
-        index: bool = True,
         shared_index: "Optional[PatternIndex]" = None,
-        shared_templates: "Optional[Dict[tuple, List[_Template]]]" = None,
     ) -> None:
-        """``shared_index`` / ``shared_templates`` let a resident service
-        (``repro.serve``) reuse one prebuilt :class:`PatternIndex` and one
-        cross-job template memo: both are pure functions of library/structure,
-        so concurrent writers only ever store identical values.  Per-graph
-        state (``_heights``) stays private to each matcher instance."""
+        """``shared_index`` lets a resident service (``repro.serve``) reuse
+        one prebuilt :class:`PatternIndex`; per-graph state (``_heights``)
+        stays private to each matcher instance."""
         super().__init__(patterns, tree_mode=tree_mode)
-        self.memoize = memoize
-        if shared_index is not None:
-            self.index: Optional[PatternIndex] = shared_index
-        else:
-            self.index = PatternIndex(patterns) if index else None
-        self._max_depth = max(
-            (p.root.depth() for p in patterns.patterns), default=0
-        )
-        #: signature -> match templates (structural, valid across graphs).
-        self._templates: Dict[tuple, List[_Template]] = (
-            shared_templates if shared_templates is not None else {}
-        )
+        self.index = (shared_index if shared_index is not None
+                      else PatternIndex(patterns))
         #: uid -> gate height of the currently bound graph.
         self._heights: Dict[int, int] = {}
 
@@ -101,53 +72,13 @@ class MemoMatcher(Matcher):
 
     # -- matching ------------------------------------------------------------
 
-    def _find(self, snode: SubjectNode, kind) -> List[Match]:
-        full = self.patterns.rooted_at(kind)
-        if self.index is None:
-            return self._enumerate(snode, full)
-        candidates = self.index.candidates(snode, self._gate_height(snode))
-        if OBS.enabled:
-            OBS.metrics.counter("perf.patterns_pruned").inc(
-                len(full) - len(candidates)
-            )
-        return self._enumerate(snode, candidates)
-
     def matches_at(self, snode: SubjectNode) -> List[Match]:
         kind = _KIND_FOR_TYPE.get(snode.type)
         if kind is None:
             return []
-        if not self.memoize:
-            return self._find(snode, kind)
-        sig, nodes = subtree_signature(
-            snode, self._max_depth, tree_mode=self.tree_mode
-        )
-        if sig is None:
-            if OBS.enabled:
-                OBS.metrics.counter("perf.sig_over_budget").inc()
-            return self._find(snode, kind)
-        templates = self._templates.get(sig)
-        if templates is None:
-            found = self._find(snode, kind)
-            index_of = {n.uid: i for i, n in enumerate(nodes)}
-            self._templates[sig] = [
-                (
-                    m.pattern,
-                    tuple(index_of[v.uid] for v in m.inputs),
-                    tuple(index_of[c.uid] for c in m.covered),
-                )
-                for m in found
-            ]
-            if OBS.enabled:
-                OBS.metrics.counter("perf.sig_memo_misses").inc()
-            return found
+        candidates = self.index.candidates(snode, self._gate_height(snode))
         if OBS.enabled:
-            OBS.metrics.counter("perf.sig_memo_hits").inc()
-        return [
-            Match(
-                pattern,
-                snode,
-                tuple(nodes[i] for i in input_idx),
-                frozenset(nodes[i] for i in covered_idx),
+            OBS.metrics.counter("perf.patterns_pruned").inc(
+                len(self.patterns.rooted_at(kind)) - len(candidates)
             )
-            for pattern, input_idx, covered_idx in templates
-        ]
+        return self._enumerate(snode, candidates)

@@ -19,8 +19,6 @@ class PerfOptions:
     """Tuning switches of the mapping hot path.
 
     Attributes:
-        memoize_matches: share match lists between subject nodes with equal
-            canonical subtree signatures.
         index_patterns: prune candidate patterns with the root/child-kind
             and gate-height index instead of trying the full library.
         incremental_nets: cache per-net true-fanout lists and pin points
@@ -28,18 +26,14 @@ class PerfOptions:
         incremental_place: per-net bounding-box caches with O(pins-of-
             moved-cell) delta updates in annealing and the detailed
             swap pass (bit-identical to full recomputation).
-        incremental_sta: dirty-frontier arrival/required propagation in
-            re-timing loops instead of whole-netlist passes
-            (bit-identical to full recomputation).
         warm_replace: seed Lily's periodic quadratic re-place CG solves
             with the previous solution.  Only affects flows with
             ``replace_interval > 0``; warm CG matches a cold solve to
             solver tolerance, not bitwise.
         vec_place: struct-of-arrays numpy kernels (``repro.perf.vec``)
             for the placement hot paths — vectorized quadratic-system
-            assembly, bulk net-box builds, and the annealer's SoA HPWL
-            delta engine (bit-identical to the naive folds; see
-            ``docs/SCALING.md``).
+            assembly and bulk net-box builds (bit-identical to the naive
+            folds; see ``docs/SCALING.md``).
         vec_sta: levelized array-form STA
             (:mod:`repro.timing.array_sta`) for full timing passes and
             the level-batched dirty-frontier updates of
@@ -60,11 +54,9 @@ class PerfOptions:
             submission order (identical for any value).
     """
 
-    memoize_matches: bool = True
     index_patterns: bool = True
     incremental_nets: bool = True
     incremental_place: bool = True
-    incremental_sta: bool = True
     warm_replace: bool = True
     vec_place: bool = True
     vec_sta: bool = True
@@ -76,11 +68,9 @@ class PerfOptions:
     def naive() -> "PerfOptions":
         """Every optimization off — the reference paths."""
         return PerfOptions(
-            memoize_matches=False,
             index_patterns=False,
             incremental_nets=False,
             incremental_place=False,
-            incremental_sta=False,
             warm_replace=False,
             vec_place=False,
             vec_sta=False,

@@ -15,9 +15,9 @@ results are bit-identical for any job count — asserted by the
 equivalence tests.
 
 Sharing one :class:`~repro.perf.memomatch.MemoMatcher` across workers is
-safe: its memo tables are keyed by structure and store deterministic
-values, so racing writers publish identical entries (dict operations are
-atomic under the GIL).  Observability counters bumped from workers may
+safe: its pattern index is read-only and its gate-height table stores
+deterministic values, so racing writers publish identical entries (dict
+operations are atomic under the GIL).  Observability counters bumped from workers may
 under-count by a few on a race; span accounting stays exact thanks to
 the tracer's per-thread stacks.
 """

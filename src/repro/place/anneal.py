@@ -62,7 +62,9 @@ class _Incremental:
         for net_id, net in enumerate(netlist.nets):
             for pin in net:
                 self.cell_nets.setdefault(pin, []).append(net_id)
-        self.net_hpwl: List[float] = self._initial_hpwl()
+        self.net_hpwl: List[float] = [
+            self._compute(net) for net in netlist.nets
+        ]
         self.total = sum(self.net_hpwl)
         self.row_of: Dict[str, Row] = {}
         for row in placement.rows:
@@ -76,10 +78,6 @@ class _Incremental:
         self.capacity = max(
             (row.width for row in placement.rows), default=0.0
         ) * 1.05
-
-    def _initial_hpwl(self) -> List[float]:
-        """Per-net HPWL at engine construction (hook for the vec engine)."""
-        return [self._compute(net) for net in self.netlist.nets]
 
     def _position(self, pin: str) -> Optional[Point]:
         p = self.placement.positions.get(pin)
@@ -135,11 +133,6 @@ class _IncrementalBBox(_Incremental):
 
     incremental = True
 
-    #: Whether the stamped cache bulk-builds its boxes through the
-    #: struct-of-arrays kernels (bitwise-identical; the vec engine's
-    #: construction fast path).
-    vec_cache = False
-
     def __init__(
         self, placement: DetailedPlacement, netlist: PlacementNetlist
     ) -> None:
@@ -147,8 +140,7 @@ class _IncrementalBBox(_Incremental):
         from repro.perf.incremental import StampedNetBoxCache
 
         self.cache = StampedNetBoxCache(
-            netlist.nets, placement.positions, netlist.fixed,
-            vec=self.vec_cache,
+            netlist.nets, placement.positions, netlist.fixed
         )
         self._row_width: Dict[int, float] = {
             row.index: row.width for row in placement.rows
@@ -182,44 +174,6 @@ class _IncrementalBBox(_Incremental):
 
     def row_width(self, row: Row) -> float:
         return self._row_width[row.index]
-
-
-class _VecBBox(_IncrementalBBox):
-    """Struct-of-arrays *construction* for the incremental engine.
-
-    Everything built once per run is vectorized: the initial per-net
-    boxes bulk-build through :func:`repro.perf.vec.fold_box_arrays`
-    (``vec_cache``) and the initial per-net HPWL list comes from one
-    flat :class:`repro.perf.vec.PinTable` fold instead of ``len(nets)``
-    Python folds.  Move *scoring* stays per-net dict reads, inherited
-    from :class:`_IncrementalBBox`: a probe touches 2–6 small nets, and
-    at that batch size per-pin dict lookups beat any SoA fold once the
-    cost of keeping coordinate arrays current against row-repack
-    position writes is charged (a write-through-mirror variant measured
-    2–3x *slower* end to end — repack writes outnumber scored pins by
-    two orders of magnitude).  Min/max folds are exact in either
-    representation, so results stay bitwise-identical throughout.
-    """
-
-    vec_cache = True
-
-    def _initial_hpwl(self) -> List[float]:
-        from repro.perf.vec import PinTable
-
-        table = PinTable(
-            self.netlist.nets, self.placement.positions,
-            self.netlist.fixed,
-        )
-        return table.hpwl().tolist()
-
-    @property
-    def refreshes(self) -> int:
-        """Net re-folds performed (feeds ``perf.vec.anneal_refreshes``).
-
-        A plain property over the inherited cache counter: the scoring
-        hot path must not carry a per-call override just to count.
-        """
-        return self.cache.refolds
 
 
 def _repack_row(placement: DetailedPlacement, row: Row) -> None:
@@ -314,7 +268,6 @@ def simulated_annealing(
     cooling: float = 0.92,
     min_acceptance: float = 0.015,
     incremental: bool = True,
-    vec: bool = True,
 ) -> AnnealStats:
     """Refine a detailed placement in place; returns run statistics.
 
@@ -328,20 +281,12 @@ def simulated_annealing(
         incremental: score moves with the per-net bounding-box cache
             (bit-identical results, much faster); off uses the
             full-recompute reference engine.
-        vec: with ``incremental``, bulk-build the engine's initial
-            boxes/HPWL through the struct-of-arrays kernels
-            (:class:`_VecBBox`); bit-identical to both other engines,
-            so the accept/reject sequence and the final placement are
-            exactly the same.
     """
     cells = [c for row in placement.rows for c in row.cells]
     stats = AnnealStats()
     if len(cells) < 2:
         return stats
-    if incremental:
-        state_class = _VecBBox if vec else _IncrementalBBox
-    else:
-        state_class = _Incremental
+    state_class = _IncrementalBBox if incremental else _Incremental
     with OBS.span("place.anneal", cells=len(cells)):
         state = state_class(placement, netlist)
         _anneal(state, seed, moves_per_cell, cooling,
@@ -350,10 +295,7 @@ def simulated_annealing(
         OBS.metrics.counter("anneal.moves_tried").inc(stats.moves_tried)
         OBS.metrics.counter("anneal.moves_accepted").inc(stats.moves_accepted)
         OBS.metrics.histogram("anneal.improvement").observe(stats.improvement)
-        if isinstance(state, _VecBBox):
-            OBS.metrics.counter(
-                "perf.vec.anneal_refreshes").inc(state.refreshes)
-        elif incremental:
+        if incremental:
             cache = state.cache
             OBS.metrics.counter(
                 "perf.incremental.bbox_hits").inc(cache.hits)

@@ -10,9 +10,6 @@ pays those once per library and shares the results:
   identity cache keeps hitting);
 * its :class:`~repro.library.patterns.PatternSet` and
   :class:`~repro.perf.patindex.PatternIndex` (read-only after build);
-* one cross-job signature->match-template memo, shared by every matcher
-  the state hands out (entries are pure functions of structure, so
-  racing writers only ever store identical values);
 * built suite circuits and parsed BLIF networks, keyed by content.
 
 Counters (``serve.state_builds``, ``serve.library_parses``,
@@ -57,8 +54,6 @@ class WarmState:
         self.library_hash = library_hash(library)
         self.patterns: PatternSet = pattern_set_for(library)
         self.pattern_index = PatternIndex(self.patterns)
-        #: Cross-job signature -> match-template memo (see module doc).
-        self.shared_templates: dict = {}
         self._networks: Dict[Tuple[str, float], Tuple[Network, str]] = {}
         self._network_order: list = []
         self._lock = threading.Lock()
@@ -71,16 +66,12 @@ class WarmState:
             OBS.metrics.counter("serve.library_parses").inc()
 
     def matcher(self) -> MemoMatcher:
-        """A fresh matcher wired to the warm index and template memo.
+        """A fresh matcher wired to the warm pattern index.
 
         Per-graph state (gate heights) stays private to the returned
         instance, so concurrent jobs on different subjects are safe.
         """
-        return MemoMatcher(
-            self.patterns,
-            shared_index=self.pattern_index,
-            shared_templates=self.shared_templates,
-        )
+        return MemoMatcher(self.patterns, shared_index=self.pattern_index)
 
     def network_for(self, circuit: Optional[str], blif: Optional[str],
                     scale: float = 1.0) -> Tuple[Network, str]:

@@ -41,6 +41,25 @@ class TestCmOfMerged:
         state.bind(g)
         assert cm_of_merged([n1, n2], state) == Point(4, 3)
 
+    def test_independent_of_iteration_order(self):
+        # 0.1 + 0.2 + 0.3 rounds differently depending on the summing
+        # order; the result must not depend on how ``covered`` iterates.
+        g = SubjectGraph()
+        a, b, c = (g.add_primary_input(x) for x in "abc")
+        n1, n2, n3 = g.nand(a, b), g.nand(a, c), g.nand(b, c)
+        g.add_primary_output("f", g.nand(g.nand(n1, n2), n3))
+        state = PlacementState(
+            Rect(0, 0, 1, 1),
+            {n1.name: Point(0.1, 0.1), n2.name: Point(0.2, 0.2),
+             n3.name: Point(0.3, 0.3)},
+            {"a": Point(0, 0), "b": Point(0, 1), "c": Point(1, 0),
+             "f": Point(1, 1)},
+        )
+        state.bind(g)
+        forward = cm_of_merged([n1, n2, n3], state)
+        assert cm_of_merged([n3, n2, n1], state) == forward
+        assert cm_of_merged([n2, n3, n1], state) == forward
+
 
 class TestCmOfFans:
     def test_manhattan_single_rect(self):

@@ -12,7 +12,7 @@ Four families:
   and LUT cells synthesise their defining truth table;
 * **covering** — area/timing/LUT covers of the shared small circuit pass
   the fast audit (including the cut-cover invariant), fusion is never
-  worse than either backend on any cone, and mapper specs parse/reject
+  worse than either backend, and mapper specs parse/reject
   with the pinned messages;
 * **determinism** — two *separate interpreter processes* with different
   hash seeds produce bit-identical covers.
@@ -32,6 +32,7 @@ from repro.map.blif_io import write_mapped_blif
 from repro.map.cuts import (
     CutError,
     CutMapper,
+    CutMapResult,
     FusionMapper,
     MapperSpec,
     MapperSpecError,
@@ -40,7 +41,9 @@ from repro.map.cuts import (
     lut_cell,
     match_table_for,
     parse_mapper_spec,
+    worst_arrival,
 )
+from repro.map.mis import MisAreaMapper, MisDelayMapper
 from repro.network.decompose import decompose_to_subject
 from repro.network.logic import TruthTable
 from repro.network.subject import SubjectGraph
@@ -312,32 +315,47 @@ def test_unknown_mode_rejected(big_lib):
         FusionMapper(big_lib, mode="delay")
 
 
-def test_fusion_no_worse_than_either_backend_per_cone(small_network,
-                                                      big_lib):
-    """The acceptance bound: per output cone, the fused cover's cost is
-    ≤ min(tree, cuts) — fusion copies the winning cone verbatim."""
-    from repro.map.cuts import _cone_cost
+def test_fusion_no_worse_than_either_backend(small_network, big_lib):
+    """The acceptance bound: the fused cover's area (area mode) or worst
+    output arrival (timing mode) is the better backend's."""
+    for mode, tree_cls in (("area", MisAreaMapper),
+                           ("timing", MisDelayMapper)):
+        tree = tree_cls(big_lib).map(decompose_to_subject(small_network))
+        cuts = CutMapper(big_lib, mode=mode).map(
+            decompose_to_subject(small_network))
+        result = FusionMapper(big_lib, mode=mode).map(
+            decompose_to_subject(small_network))
+        report = audit_mapping(result, net=small_network, level="fast")
+        assert report.passed, [str(c) for c in report.failures]
+        if mode == "area":
+            assert result.cell_area == min(tree.cell_area, cuts.cell_area)
+        else:
+            assert worst_arrival(result) <= min(worst_arrival(tree),
+                                                worst_arrival(cuts))
 
+
+def test_fusion_returns_the_winning_result_unchanged(small_network,
+                                                     big_lib):
+    """Fusion hands back one backend's whole result: a cut win keeps its
+    cover records (and so its cut-cover audit); a tie goes to the tree."""
     result = FusionMapper(big_lib, mode="area").map(
         decompose_to_subject(small_network))
-    report = audit_mapping(result, net=small_network, level="fast")
-    assert report.passed, [str(c) for c in report.failures]
-    assert result.choices, "fusion recorded no per-cone choices"
-    for choice in result.choices:
-        fused_driver = result.mapped[choice.output].fanins[0]
-        fused_cost = _cone_cost(fused_driver, "area")
-        floor = min(choice.tree_cost, choice.cut_cost)
-        assert fused_cost <= floor + 1e-9, (
-            f"cone {choice.output}: fused {fused_cost} > "
-            f"min(tree={choice.tree_cost}, cuts={choice.cut_cost})")
-
-
-def test_fusion_records_both_source_results(small_network, big_lib):
-    result = FusionMapper(big_lib, mode="area").map(
-        decompose_to_subject(small_network))
-    assert result.tree_result is not None
-    assert result.cut_result is not None
-    assert result.cut_result.cut_cover
+    if isinstance(result, CutMapResult):
+        standalone = CutMapper(big_lib, mode="area").map(
+            decompose_to_subject(small_network))
+        assert result.cut_cover
+    else:
+        standalone = MisAreaMapper(big_lib).map(
+            decompose_to_subject(small_network))
+    assert write_mapped_blif(result.mapped) == \
+        write_mapped_blif(standalone.mapped)
+    # A wire-only circuit costs nothing under either backend: the tie
+    # goes to the tree cover.
+    wire = SubjectGraph("wire")
+    wire.add_primary_output("f", wire.add_primary_input("a"))
+    for mode in ("area", "timing"):
+        tied = FusionMapper(big_lib, mode=mode).map(wire)
+        assert not isinstance(tied, CutMapResult)
 
 
 # -- cross-process determinism ------------------------------------------------

@@ -19,15 +19,8 @@ from repro.perf import PerfOptions
 CIRCUITS = ["misex1", "b9", "apex7"]
 
 VARIANTS = {
-    "memo_only": PerfOptions(
-        memoize_matches=True, index_patterns=False, incremental_nets=False
-    ),
-    "index_only": PerfOptions(
-        memoize_matches=False, index_patterns=True, incremental_nets=False
-    ),
-    "nets_only": PerfOptions(
-        memoize_matches=False, index_patterns=False, incremental_nets=True
-    ),
+    "index_only": PerfOptions(index_patterns=True, incremental_nets=False),
+    "nets_only": PerfOptions(index_patterns=False, incremental_nets=True),
     "all_on": PerfOptions(),
     "parallel": PerfOptions().with_jobs(2),
 }

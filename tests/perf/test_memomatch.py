@@ -1,4 +1,4 @@
-"""Signature-memoized matching: identical results, observable reuse."""
+"""Index-pruned matching: identical results to the naive matcher."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import pytest
 from repro.library.patterns import pattern_set_for
 from repro.match.treematch import Matcher
 from repro.network.decompose import decompose_to_subject
-from repro.network.subject import SubjectGraph
-from repro.obs import OBS, observed
 from repro.perf.memomatch import MemoMatcher
 
 
@@ -33,63 +31,25 @@ def _match_key(m):
 def test_equals_naive_matcher(patterns, small_network, tree_mode):
     subject = decompose_to_subject(small_network)
     naive = Matcher(patterns, tree_mode=tree_mode)
-    memo = MemoMatcher(patterns, tree_mode=tree_mode)
-    memo.bind(subject)
+    indexed = MemoMatcher(patterns, tree_mode=tree_mode)
+    indexed.bind(subject)
     for node in subject.nodes:
         if not node.is_gate:
             continue
         a = [_match_key(m) for m in naive.matches_at(node)]
-        b = [_match_key(m) for m in memo.matches_at(node)]
+        b = [_match_key(m) for m in indexed.matches_at(node)]
         assert a == b  # same matches, same order
 
 
-def test_templates_rebound_to_new_nodes(patterns):
-    """Two signature-equal subtrees share one memo entry; the second
-    lookup must return matches bound to the *second* subtree's nodes."""
-    g = SubjectGraph()
-    a, b, c, d = (g.add_primary_input(x) for x in "abcd")
-    first = g.inv(g.nand(a, b))
-    second = g.inv(g.nand(c, d))
-    g.add_primary_output("f", g.nand(first, second))
-    memo = MemoMatcher(patterns)
-    memo.bind(g)
-    with observed():
-        m1 = memo.matches_at(first)
-        hits_before = OBS.metrics.counter("perf.sig_memo_hits").value
-        m2 = memo.matches_at(second)
-        hits_after = OBS.metrics.counter("perf.sig_memo_hits").value
-    assert hits_after == hits_before + 1
-    assert [m.pattern for m in m1] == [m.pattern for m in m2]
-    assert all(m.root is second for m in m2)
-    uids_2 = {second.uid} | {n.uid for n in g.transitive_fanin([second])}
-    for m in m2:
-        assert all(v.uid in uids_2 for v in m.inputs)
-        assert all(cv.uid in uids_2 for cv in m.covered)
-    # And the two bindings are genuinely different nodes.
-    assert {v.uid for m in m1 for v in m.inputs} != {
-        v.uid for m in m2 for v in m.inputs
-    }
+def test_switches_disable_layers():
+    """``index_patterns`` selects the indexed matcher; off, the mapper
+    falls back to the plain naive :class:`Matcher`."""
+    from repro.library.standard import big_library
+    from repro.map.mis import MisAreaMapper
+    from repro.perf import PerfOptions
 
-
-def test_memo_counters_move(patterns, small_network):
-    subject = decompose_to_subject(small_network)
-    memo = MemoMatcher(patterns)
-    memo.bind(subject)
-    with observed():
-        for node in subject.nodes:
-            if node.is_gate:
-                memo.matches_at(node)
-        misses = OBS.metrics.counter("perf.sig_memo_misses").value
-    assert misses > 0
-
-
-def test_switches_disable_layers(patterns, small_network):
-    subject = decompose_to_subject(small_network)
-    plain = MemoMatcher(patterns, memoize=False, index=False)
-    assert plain.index is None
-    with observed():
-        for node in subject.nodes:
-            if node.is_gate:
-                plain.matches_at(node)
-        assert OBS.metrics.counter("perf.sig_memo_misses").value == 0
-        assert OBS.metrics.counter("perf.sig_memo_hits").value == 0
+    library = big_library()
+    indexed = MisAreaMapper(library, perf=PerfOptions())
+    plain = MisAreaMapper(library, perf=PerfOptions(index_patterns=False))
+    assert type(indexed.matcher) is MemoMatcher
+    assert type(plain.matcher) is Matcher

@@ -21,13 +21,13 @@ def patterns(request):
 def test_candidates_are_an_ordered_subset(patterns, small_network):
     subject = decompose_to_subject(small_network)
     index = PatternIndex(patterns)
-    memo = MemoMatcher(patterns, memoize=False, index=True)
+    matcher = MemoMatcher(patterns)
     for node in subject.nodes:
         kind = _KIND_FOR_TYPE.get(node.type)
         if kind is None:
             continue
         full = patterns.rooted_at(kind)
-        candidates = index.candidates(node, memo._gate_height(node))
+        candidates = index.candidates(node, matcher._gate_height(node))
         positions = [full.index(p) for p in candidates]
         assert positions == sorted(positions)  # order preserved
         assert len(set(positions)) == len(positions)
@@ -37,7 +37,7 @@ def test_pruned_patterns_never_matched(patterns, small_network):
     """The naive matcher's results survive the index's pruning intact."""
     subject = decompose_to_subject(small_network)
     naive = Matcher(patterns)
-    pruned = MemoMatcher(patterns, memoize=False, index=True)
+    pruned = MemoMatcher(patterns)
     checked = 0
     for node in subject.nodes:
         if not node.is_gate:
@@ -62,7 +62,7 @@ def test_index_prunes_something(patterns, small_network):
     somewhere, otherwise it is dead weight."""
     subject = decompose_to_subject(small_network)
     index = PatternIndex(patterns)
-    memo = MemoMatcher(patterns, memoize=False, index=True)
+    matcher = MemoMatcher(patterns)
     saved = 0
     for node in subject.nodes:
         kind = _KIND_FOR_TYPE.get(node.type)
@@ -70,6 +70,6 @@ def test_index_prunes_something(patterns, small_network):
             continue
         full = patterns.rooted_at(kind)
         saved += len(full) - len(
-            index.candidates(node, memo._gate_height(node))
+            index.candidates(node, matcher._gate_height(node))
         )
     assert saved > 0

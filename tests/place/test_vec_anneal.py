@@ -1,9 +1,11 @@
-"""Annealing/detailed-placement vec engines vs their naive twins.
+"""Annealing engine equality, and the detailed-placement vec kernels.
 
-``simulated_annealing`` has three scoring engines (full-recompute
-reference, per-net box cache, struct-of-arrays) that promise bitwise
+``simulated_annealing`` has two scoring engines (the full-recompute
+reference and the per-net stamped box cache) that promise bitwise
 identical deltas — and therefore an identical accept/reject sequence and
-an identical final placement.  Every comparison here is exact.
+an identical final placement (one fixed case is checked in
+``test_incremental_place.py``; these are randomized).  Every comparison
+here is exact.
 """
 
 from __future__ import annotations
@@ -36,20 +38,6 @@ def _anneal(placement, netlist, **kwargs):
 
 
 class TestEngineEquivalence:
-    def test_three_engines_identical(self, placed_case):
-        flow, netlist = placed_case
-        base = flow.backend.detailed
-        vec, vec_stats = _anneal(base, netlist, incremental=True, vec=True)
-        inc, inc_stats = _anneal(base, netlist, incremental=True,
-                                 vec=False)
-        ref, ref_stats = _anneal(base, netlist, incremental=False)
-        assert vec.positions == inc.positions == ref.positions
-        for stats in (inc_stats, ref_stats):
-            assert vec_stats.initial_hpwl == stats.initial_hpwl
-            assert vec_stats.final_hpwl == stats.final_hpwl
-            assert vec_stats.moves_tried == stats.moves_tried
-            assert vec_stats.moves_accepted == stats.moves_accepted
-
     @pytest.mark.parametrize("seed", range(3))
     def test_randomized_pairs(self, seed, seeded_rng):
         rng = seeded_rng("veca", "pairs", seed)
@@ -59,33 +47,9 @@ class TestEngineEquivalence:
         flow = mis_flow(net, big_library(), verify=False)
         netlist = mapped_netlist(flow.mapped, flow.backend.pad_positions)
         base = flow.backend.detailed
-        vec, _ = _anneal(base, netlist, vec=True)
-        naive, _ = _anneal(base, netlist, vec=False)
-        assert vec.positions == naive.positions
-
-    def test_positions_dict_restored_after_run(self, placed_case):
-        # The vec engine must never leave a wrapper over
-        # placement.positions (an earlier write-through-mirror variant
-        # did): the attribute stays a plain dict (deepcopy-able, no
-        # dangling PinTable reference).
-        flow, netlist = placed_case
-        work = copy.deepcopy(flow.backend.detailed)
-        simulated_annealing(work, netlist, seed=2, moves_per_cell=2,
-                            vec=True)
-        assert type(work.positions) is dict
-
-    def test_restored_even_on_engine_error(self, placed_case):
-        flow, netlist = placed_case
-        work = copy.deepcopy(flow.backend.detailed)
-        bad = netlist.__class__(
-            movables=netlist.movables, sizes=netlist.sizes,
-            nets=netlist.nets, fixed=netlist.fixed)
-        try:
-            simulated_annealing(work, bad, seed=2, moves_per_cell=-1,
-                                vec=True)
-        except Exception:
-            pass
-        assert type(work.positions) is dict
+        inc, _ = _anneal(base, netlist, incremental=True)
+        ref, _ = _anneal(base, netlist, incremental=False)
+        assert inc.positions == ref.positions
 
 
 class TestDetailedPlaceVec:

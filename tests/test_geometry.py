@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import (
@@ -99,6 +99,8 @@ class TestRectDistance:
         assert rect_manhattan_distance(Point(6, 6), r) == 4
 
     @given(points, rects())
+    @example(Point(1.2829282439481848, 0.5),
+             Rect(-0.3593871675436837, 0, 5.776431137372648, 1))
     def test_nonnegative(self, p, r):
         assert rect_manhattan_distance(p, r) >= 0
 

@@ -32,8 +32,10 @@ PR 7 adds a ``--scaling`` mode that merges the ``scale.*`` rows from
 ``benchmarks/scaling.py`` (struct-of-arrays kernels vs the naive
 engines at 1k/5k/20k gates, every timed pair checked for exact
 equality first) and stamps a ``kernels`` section into every artifact:
-the numpy/scipy versions and default ``PerfOptions`` kernel flags the
-snapshot ran under, so cross-machine comparisons state their backends.
+the numpy/scipy versions the snapshot ran under (artifacts before the
+kernel switches were removed also record the then-default
+``PerfOptions`` kernel flags), so cross-machine comparisons state their
+backends.
 
 PR 8 adds the cluster rows: a mini soak (``--cluster-shards`` /
 ``--cluster-jobs``) replays a repeating job mix against an in-process

@@ -31,6 +31,10 @@ def true_fanouts(
     Primary outputs are terminals (pads) and always count as true fanouts.
     Doves are looked *through*: the hawk(s) their logic was merged into (or
     further consumers) absorb the connection.
+
+    Lily reads true fanouts through :class:`repro.perf.netcache.NetCache`;
+    this walk is the cache's reference seam, which the net-cache tests
+    re-derive every live entry from.
     """
     found: List[SubjectNode] = []
     seen: Set[int] = set()

@@ -37,7 +37,8 @@ from repro.place.hypergraph import mapped_netlist
 from repro.place.pads import io_affinity_order, perimeter_slots
 from repro.route.global_route import RoutedDesign, route_design
 from repro.timing.model import WireCapModel
-from repro.timing.sta import TimingReport, analyze
+# flowbench/spans.py wraps repro.flow.pipeline.analyze, so the name stays.
+from repro.timing.sta import TimingReport, analyze  # noqa: F401
 from repro.verify.result import VerifyReport
 
 __all__ = ["BackendResult", "FlowResult", "mis_flow", "lily_flow",
@@ -132,7 +133,6 @@ def place_and_route(
     seed_positions: Optional[Dict[str, Point]] = None,
     anneal: bool = False,
     anneal_seed: int = 0,
-    perf: Optional[PerfOptions] = None,
 ) -> BackendResult:
     """The shared back-end: global + detailed placement, routing, STA.
 
@@ -145,16 +145,8 @@ def place_and_route(
             placement.
         anneal: refine the detailed placement with simulated annealing
             (the TimberWolf-style pass; slower, lower wirelength).
-        perf: optimization switches; ``incremental_place`` selects the
-            cached-bounding-box engines in the detailed pass and the
-            annealer, ``vec_place``/``vec_sta``/``vec_route`` the struct-of-arrays
-            kernels beneath them (bit-identical either way).
     """
     wire_model = wire_model or WireCapModel()
-    incremental = perf.incremental_place if perf is not None else True
-    vec_place = getattr(perf, "vec_place", True) if perf is not None else True
-    vec_sta = getattr(perf, "vec_sta", True) if perf is not None else True
-    vec_route = getattr(perf, "vec_route", True) if perf is not None else True
     region = mapped_image(mapped.total_cell_area())
     pads = pads_from_order(pad_order, region)
     netlist = mapped_netlist(mapped, pads)
@@ -166,18 +158,16 @@ def place_and_route(
         }
     else:
         with OBS.span("place.global", cells=len(netlist.movables)):
-            placement = GlobalPlacer(vec=vec_place).place(netlist, region)
+            placement = GlobalPlacer().place(netlist, region)
         positions = placement.positions
 
     with OBS.span("place.detailed", cells=len(positions)):
-        detailed = detailed_place(netlist, positions,
-                                  incremental=incremental, vec=vec_place)
+        detailed = detailed_place(netlist, positions)
     if anneal:
         from repro.place.anneal import simulated_annealing
 
-        simulated_annealing(detailed, netlist, seed=anneal_seed,
-                            incremental=incremental)
-    routed = route_design(mapped, detailed, pads, vec=vec_route)
+        simulated_annealing(detailed, netlist, seed=anneal_seed)
+    routed = route_design(mapped, detailed, pads)
     chip = estimate_chip(
         routed.chip_width, routed.chip_height, mapped.total_cell_area()
     )
@@ -188,12 +178,9 @@ def place_and_route(
     for name, p in pads.items():
         if name in mapped:
             mapped[name].position = p
-    if vec_sta:
-        from repro.timing.array_sta import analyze_array
+    from repro.timing.array_sta import analyze_array
 
-        timing = analyze_array(mapped, wire_model=wire_model)
-    else:
-        timing = analyze(mapped, wire_model=wire_model)
+    timing = analyze_array(mapped, wire_model=wire_model)
     return BackendResult(detailed, routed, chip, timing, pads)
 
 
@@ -241,15 +228,15 @@ def mis_flow(
 ) -> FlowResult:
     """Pipeline 1: MIS mapping, layout afterwards.
 
-    ``perf`` selects the mapper's fast-path configuration (pattern
-    indexing, net caching, ``jobs``); the default enables every
-    cache single-threaded.  Results are bit-identical across settings.
+    ``perf`` sets the mapper's parallelism (``jobs``); the default is
+    single-threaded.  Results are bit-identical across settings.
 
     ``verify`` accepts the legacy booleans or an audit level (``"fast"`` /
     ``"full"``, see :func:`_run_verification`).
 
     ``matcher`` injects a pre-built structural matcher (``repro.serve``
-    passes one wired to its warm pattern index); ``None`` lets the mapper build its own from ``perf``.
+    passes one wired to its warm pattern index); ``None`` lets the mapper
+    build its own.
 
     ``mapper`` selects the covering backend (see
     :func:`repro.map.cuts.parse_mapper_spec`): ``"tree"`` is the classic
@@ -295,8 +282,7 @@ def mis_flow(
             pad_order = io_affinity_order(net)
             pad_order = _mapped_terminal_names(result.mapped, pad_order)
         with OBS.span("backend"):
-            backend = place_and_route(result.mapped, pad_order, wire_model,
-                                      perf=perf)
+            backend = place_and_route(result.mapped, pad_order, wire_model)
         with OBS.span("verify", enabled=bool(verify)):
             equivalent, verify_report = _run_verification(
                 net, result, backend, verify, wire_model
@@ -344,10 +330,7 @@ def lily_flow(
             pad_order = io_affinity_order(net)
         with OBS.span("decompose", layout_driven=layout_driven_decomposition):
             if layout_driven_decomposition:
-                subject = _decompose_layout_driven(
-                    net, pad_order,
-                    vec=getattr(perf, "vec_place", True) if perf else True,
-                )
+                subject = _decompose_layout_driven(net, pad_order)
             else:
                 subject = decompose_to_subject(net)
         region = subject_image(len(subject.gates))
@@ -392,8 +375,7 @@ def lily_flow(
         with OBS.span("backend"):
             backend = place_and_route(
                 result.mapped, backend_pad_order, wire_model,
-                seed_positions=seed, perf=perf
-            )
+                seed_positions=seed)
         with OBS.span("verify", enabled=bool(verify)):
             equivalent, verify_report = _run_verification(
                 net, result, backend, verify, wire_model
@@ -409,8 +391,7 @@ def lily_flow(
     )
 
 
-def _decompose_layout_driven(net: Network, pad_order: List[str],
-                             vec: bool = True):
+def _decompose_layout_driven(net: Network, pad_order: List[str]):
     """Place the source network, then decompose proximity-first."""
     from repro.place.global_place import GlobalPlacer
     from repro.place.hypergraph import network_netlist
@@ -420,7 +401,7 @@ def _decompose_layout_driven(net: Network, pad_order: List[str],
     known.update(n.name for n in net.primary_outputs)
     pads = pads_from_order([n for n in pad_order if n in known], region)
     netlist = network_netlist(net, pads)
-    placement = GlobalPlacer(vec=vec).place(netlist, region)
+    placement = GlobalPlacer().place(netlist, region)
     positions = dict(placement.positions)
     positions.update(pads)  # PIs appear as leaf positions too
     return decompose_to_subject(net, positions=positions)

@@ -28,7 +28,7 @@ from repro.library.patterns import pattern_set_for
 from repro.map.cones import logic_cones, order_cones
 from repro.map.lifecycle import LifecycleTracker, NodeState
 from repro.map.netlist import MappedNetwork, MappedNode
-from repro.match.treematch import Match, Matcher
+from repro.match.treematch import Match
 from repro.network.subject import SubjectGraph, SubjectNode
 from repro.obs import OBS
 from repro.perf.memomatch import MemoMatcher
@@ -90,9 +90,12 @@ class BaseMapper:
             (no match may cross a multi-fanout stem).
         use_cone_ordering: process cones in the Section 3.5 order instead
             of declaration order.
-        perf: hot-path optimization switches (:class:`PerfOptions`);
-            defaults to all caches on, one job.  Every setting maps
-            bit-identically to the naive paths.
+        matcher: structural matcher; ``None`` builds the index-pruned
+            :class:`~repro.perf.memomatch.MemoMatcher`.  Injecting a plain
+            :class:`~repro.match.treematch.Matcher` is the reference seam
+            the golden-equivalence tests compare against.
+        perf: parallelism (:class:`PerfOptions`); defaults to one job.
+            Every setting maps bit-identically.
     """
 
     def __init__(
@@ -107,10 +110,7 @@ class BaseMapper:
         self.patterns = pattern_set_for(library)
         self.perf = perf if perf is not None else PerfOptions()
         if matcher is None:
-            if self.perf.index_patterns:
-                matcher = MemoMatcher(self.patterns, tree_mode=tree_mode)
-            else:
-                matcher = Matcher(self.patterns, tree_mode=tree_mode)
+            matcher = MemoMatcher(self.patterns, tree_mode=tree_mode)
         self.matcher = matcher
         self.tree_mode = tree_mode
         self.use_cone_ordering = use_cone_ordering

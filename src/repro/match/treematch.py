@@ -124,7 +124,12 @@ def _binding_is_injective(binding: Dict[int, SubjectNode]) -> bool:
 
 
 class Matcher:
-    """Finds all legal matches of a pattern set at subject nodes."""
+    """Finds all legal matches of a pattern set at subject nodes.
+
+    Mappers build the index-pruned
+    :class:`~repro.perf.memomatch.MemoMatcher` by default; this plain
+    matcher, injected through ``matcher=``, is its reference seam.
+    """
 
     def __init__(self, patterns: PatternSet, tree_mode: bool = False) -> None:
         self.patterns = patterns

@@ -1,6 +1,7 @@
 """Hot-path optimization layer for the mapping and layout stack.
 
-Independent, individually-switchable techniques (see ``PerfOptions``):
+The techniques below are always on; :class:`PerfOptions` only sets the
+parallelism (``jobs``, ``procs``):
 
 * **pattern indexing** (:mod:`repro.perf.patindex`, used by
   :mod:`repro.perf.memomatch`) — the pattern set is pre-bucketed by
@@ -19,9 +20,14 @@ Independent, individually-switchable techniques (see ``PerfOptions``):
   its callers) — dirty-node frontier propagation so a gate move re-times
   only its fanout cone.
 
-Every path is bit-identical to the naive one it replaces (asserted by the
-golden-equivalence tests) and reports cache hit/miss counters through
-``repro.obs`` (visible in ``report --profile``).
+Every path is bit-identical to the naive one it replaces.  The naive
+twins are test and audit oracles reached through reference seams — an
+injected plain :class:`~repro.match.treematch.Matcher` (``matcher=``),
+:func:`repro.core.rectangles.true_fanouts`, ``detailed_place`` /
+``simulated_annealing(incremental=False)`` and the ``vec=False``
+engines of the struct-of-arrays kernels — never runtime options.  Each
+fast path reports cache hit/miss counters through ``repro.obs``
+(visible in ``report --profile``).
 """
 
 import importlib

@@ -172,7 +172,9 @@ class NetBoxCache(_BoxCacheBase):
     Pins present in neither dict are ignored, and a net with fewer than
     two located pins has zero HPWL forever — both exactly as the naive
     fold behaves.  ``vec`` bulk-builds the initial boxes through the
-    struct-of-arrays kernels (bitwise-identical; ``PerfOptions.vec_place``).
+    struct-of-arrays kernels (bitwise-identical); the ``vec=False``
+    Python fold is the reference seam the equivalence tests and the
+    ``invariant.perf.vec`` audit compare against.
     """
 
     def __init__(

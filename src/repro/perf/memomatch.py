@@ -1,11 +1,12 @@
 """Index-pruned structural matcher.
 
-Drop-in :class:`~repro.match.treematch.Matcher` replacement used by the
-mappers when :attr:`~repro.perf.options.PerfOptions.index_patterns` is on:
-each node enumerates only the patterns the
+Drop-in :class:`~repro.match.treematch.Matcher` replacement that every
+mapper builds unless a caller injects one (``matcher=``): each node
+enumerates only the patterns the
 :class:`~repro.perf.patindex.PatternIndex` deems plausible, in the naive
-matcher's order, which the DP cover's tie-breaking observes; the
-golden-equivalence tests assert bit-identical mappings.  The matcher is
+matcher's order, which the DP cover's tie-breaking observes.  The plain
+:class:`~repro.match.treematch.Matcher` is the reference seam: the
+golden-equivalence tests inject it and assert bit-identical mappings.  The matcher is
 safe to share across worker threads: the index is read-only after build
 and the per-graph gate heights are deterministic.
 """

@@ -529,19 +529,13 @@ def kernel_backend_info() -> Dict[str, object]:
     """Machine-readable kernel-backend metadata for bench artifacts.
 
     Records which array libraries (and versions) the struct-of-arrays
-    kernels ran on plus the default ``PerfOptions`` kernel flags, so any
-    two ``BENCH_*.json`` files state the backends they compare.
+    kernels ran on, so any two ``BENCH_*.json`` files state the backends
+    they compare.
     """
     import scipy
 
-    from repro.perf.options import PerfOptions
-
-    defaults = PerfOptions()
     return {
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "vec_place_default": defaults.vec_place,
-        "vec_sta_default": defaults.vec_sta,
-        "vec_route_default": defaults.vec_route,
         "small_batch_pins": PinTable.SMALL_BATCH_PINS,
     }

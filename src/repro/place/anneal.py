@@ -278,9 +278,10 @@ def simulated_annealing(
         moves_per_cell: swap attempts per cell per temperature step.
         cooling: geometric temperature decay per step.
         min_acceptance: stop when the acceptance rate falls below this.
-        incremental: score moves with the per-net bounding-box cache
-            (bit-identical results, much faster); off uses the
-            full-recompute reference engine.
+        incremental: score moves with the per-net bounding-box cache.
+            ``False`` is the reference seam: the full-recompute engine the
+            equivalence tests and ``benchmarks/perf_snapshot.py`` compare
+            against (bit-identical results).
     """
     cells = [c for row in placement.rows for c in row.cells]
     stats = AnnealStats()

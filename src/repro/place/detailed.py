@@ -106,7 +106,6 @@ def detailed_place(
     improvement_passes: int = 1,
     num_rows: Optional[int] = None,
     incremental: bool = True,
-    vec: bool = True,
 ) -> DetailedPlacement:
     """Legalise a global placement into standard-cell rows.
 
@@ -119,11 +118,10 @@ def detailed_place(
         improvement_passes: greedy adjacent-swap HPWL passes (0 disables).
         num_rows: force a row count (default: squareness heuristic).
         incremental: score the swap passes against the per-net bounding
-            box cache (bit-identical results, much faster); off uses the
-            full-recompute reference pass.
-        vec: with ``incremental``, bulk-build the cache's initial boxes
-            through the struct-of-arrays kernels (bitwise-identical;
-            ``PerfOptions.vec_place``).
+            box cache, whose initial boxes are bulk-built by the
+            struct-of-arrays kernels.  ``False`` is the reference seam:
+            the full-recompute pass the equivalence tests compare against
+            (bit-identical results).
     """
     widths = {
         name: max(netlist.sizes.get(name, 1.0), 1e-9) / cell_height
@@ -171,7 +169,7 @@ def detailed_place(
         from repro.perf.incremental import NetBoxCache
 
         cache = NetBoxCache(netlist.nets, placement.positions, netlist.fixed,
-                            vec=vec)
+                            vec=True)
         for _ in range(improvement_passes):
             if not _swap_pass_cached(placement, netlist, cache):
                 break

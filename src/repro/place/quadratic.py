@@ -92,10 +92,12 @@ class QuadraticSystem:
     ) -> None:
         """Build the system; ``vec`` selects the struct-of-arrays assembly.
 
-        The vectorized assembly (:func:`repro.perf.vec.assemble_quadratic`)
-        produces bitwise-identical diagonal/rhs/off-diagonal streams to
-        the per-edge Python loop below, so ``vec`` only changes build
-        speed — the randomized equivalence tests assert exact equality.
+        ``vec=False`` is a reference seam, not a runtime option: the
+        per-edge Python loop below is the oracle that the randomized
+        equivalence tests, ``benchmarks/scaling.py`` and the
+        ``invariant.perf.vec`` audit compare the vectorized assembly
+        (:func:`repro.perf.vec.assemble_quadratic`) against.  Both build
+        bitwise-identical diagonal/rhs/off-diagonal streams.
         """
         self.netlist = netlist
         self.region = region
@@ -228,7 +230,6 @@ def solve_quadratic(
     anchors: Optional[Dict[str, Tuple[Point, float]]] = None,
     weight_model: str = "clique",
     initial: Optional[Dict[str, Point]] = None,
-    vec: bool = True,
 ) -> Dict[str, Point]:
     """Solve the quadratic placement for all movable cells.
 
@@ -244,13 +245,11 @@ def solve_quadratic(
             meaning.  Warm starts change the CG iterate sequence, so the
             result matches a cold solve to solver tolerance, not bitwise;
             leave unset where bit-reproducibility matters.
-        vec: use the struct-of-arrays system assembly (bitwise-identical
-            matrix, much faster to build; see ``docs/SCALING.md``).
 
     Returns:
         Cell name -> position for every movable cell.
     """
-    return QuadraticSystem(netlist, region, weight_model, vec=vec).solve(
+    return QuadraticSystem(netlist, region, weight_model).solve(
         anchors, initial=initial
     )
 

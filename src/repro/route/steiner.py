@@ -6,13 +6,13 @@ reports.  Exact for 2–3 pins; larger nets run the classic iterated
 is within a few percent of optimal for the net sizes mapping produces.
 
 The heuristic's cost is one MST evaluation per Hanan candidate per
-round; with ``vec`` (the default, ``PerfOptions.vec_route``) those
-evaluations run as one batched Prim fold
-(:func:`repro.route.spanning._prim_lengths_matrix`) whose per-candidate
-lengths are bitwise-equal to the scalar
+round; with ``vec`` (the default) those evaluations run as one batched
+Prim fold (:func:`repro.route.spanning._prim_lengths_matrix`) whose
+per-candidate lengths are bitwise-equal to the scalar
 :func:`~repro.route.spanning.rectilinear_mst_length` calls — identical
 lengths mean identical candidate selections, so the vectorized
-heuristic returns the exact result of the naive one.
+heuristic returns the exact result of the naive one (``vec=False``, the
+reference seam the equivalence tests compare against).
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ def rsmt_length(points: Sequence[Point], vec: bool = True) -> float:
     2 pins: Manhattan distance.  3 pins: the median-point tree (optimal).
     Otherwise iterated 1-Steiner: repeatedly add the Hanan point that most
     reduces the MST length, until no candidate helps.  ``vec`` batches
-    the candidate MST evaluations (identical result either way).
+    the candidate MST evaluations; ``vec=False`` is the reference seam
+    the equivalence tests compare against (identical result either way).
     """
     n = len(points)
     if n < 2:

@@ -13,10 +13,10 @@ same :class:`~repro.flow.pipeline.FlowResult` must map to the same
 * the library's canonical genlib serialisation;
 * the canonicalised option dict (sorted keys, defaults materialised).
 
-``PerfOptions`` deliberately never enters the key: every fast path is
-bit-identical to the naive one (the golden-equivalence tests assert it),
-so cache entries are valid across perf configurations — including the
-degraded retry path.
+Nothing about how a job runs enters the key: the shared warm matcher
+and the private one of the degraded retry map bit-identically (the
+golden-equivalence tests assert it), so a cache entry is valid for
+either.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.library.genlib import write_genlib
 from repro.map.blif_io import write_mapped_blif
 from repro.network.blif import write_blif
 from repro.network.network import Network
-from repro.perf import PerfOptions
 from repro.timing.model import WireCapModel
 
 __all__ = [
@@ -203,18 +202,17 @@ def run_flow(
     spec: JobSpec,
     net: Network,
     library: Library,
-    perf: Optional[PerfOptions] = None,
     matcher=None,
 ) -> FlowResult:
     """Dispatch one flow exactly as the CLI drivers would."""
     wire_model = spec.wire_model()
     if spec.flow == "mis":
         return mis_flow(net, library, mode=spec.mode, wire_model=wire_model,
-                        verify=spec.verify, perf=perf, matcher=matcher,
+                        verify=spec.verify, matcher=matcher,
                         mapper=spec.mapper)
     return lily_flow(
         net, library, mode=spec.mode, wire_model=wire_model,
-        verify=spec.verify, perf=perf,
+        verify=spec.verify,
         seed_backend_from_mapper=spec.seed_backend_from_mapper,
         layout_driven_decomposition=spec.layout_driven,
         matcher=matcher,

@@ -11,14 +11,15 @@ process-wide warm state registry.  A job travels::
       -> worker thread:
            warm state lookup (library/patterns/index, built once)
            network build (cached per circuit name / BLIF content)
-           flow run (fast perf; on failure retry PerfOptions.naive())
+           flow run (shared warm matcher; on failure retry with a private one)
            payload build; cache store
 
 Three degradation rules keep the server answering under stress:
 
-* **fast-path failure** — any exception from the flow with the standard
-  fast ``PerfOptions`` is retried once with ``PerfOptions.naive()`` and
-  the response is flagged ``degraded`` (``serve.degraded`` counts it);
+* **shared-state failure** — any exception from the flow run with the
+  shared warm matcher is retried once with a private matcher the mapper
+  builds for itself, and the response is flagged ``degraded``
+  (``serve.degraded`` counts it);
 * **timeout** — :meth:`MappingServer.run` bounds the wait; on expiry the
   job is cancelled (cooperatively between phases if already running,
   outright if still queued) and the caller gets ``status: "timeout"``;
@@ -55,7 +56,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs import OBS, Metrics, ObsReport, merge_reports
 from repro.obs.events import EventLog, new_request_id
-from repro.perf import PerfOptions
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import (
     JobError,
@@ -115,8 +115,6 @@ class ServerConfig:
             point two processes at the same directory to share results.
         timeout_s: default per-job timeout for :meth:`MappingServer.run`
             (``None``: wait forever).
-        perf: flow fast-path switches; jobs that fail under them retry
-            with ``PerfOptions.naive()``.
         slow_request_s: jobs whose mapping runtime exceeds this log a
             ``job.slow`` event (the slow-request audit trail).
         event_ring: in-memory event-log bound (older events drop).
@@ -134,7 +132,6 @@ class ServerConfig:
     cache_entries: int = 128
     spill_dir: Optional[str] = None
     timeout_s: Optional[float] = None
-    perf: Optional[PerfOptions] = None
     slow_request_s: float = 5.0
     event_ring: int = 4096
     event_stream: Optional[str] = None
@@ -402,24 +399,21 @@ class MappingServer:
         net, _ = state.network_for(spec.circuit, spec.blif, spec.scale)
         if handle.cancelled:
             raise JobCancelled(handle.key)
-        perf = self.config.perf if self.config.perf is not None \
-            else PerfOptions()
         degraded = False
         reports: List[ObsReport] = []
         try:
-            result = run_flow(spec, net, state.library, perf=perf,
+            result = run_flow(spec, net, state.library,
                               matcher=state.matcher())
         except Exception as exc:  # noqa: BLE001 — degrade, don't error
             if handle.cancelled:
                 raise JobCancelled(handle.key)
-            # Graceful degradation: the naive paths are the reference
-            # implementation; answer slowly rather than not at all.
+            # Graceful degradation: retry without the shared warm state,
+            # on a matcher the mapper builds for itself.
             degraded = True
             self.events.emit(
                 "job.degraded", handle.request_id, key=handle.key,
                 error=f"{type(exc).__name__}: {exc}")
-            result = run_flow(spec, net, state.library,
-                              perf=PerfOptions.naive())
+            result = run_flow(spec, net, state.library)
         if result.obs is not None:
             reports.append(result.obs)
         if handle.cancelled:

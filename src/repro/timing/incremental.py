@@ -16,8 +16,7 @@ only the dirty frontier:
   the backward pass re-runs only for the fanin cone of load-changed gates
   (or fully when the effective deadline changed).
 
-With ``vec`` (``PerfOptions.vec_sta``) the frontier itself runs in array
-form: dirty nodes bucket by logic level, and each level's gates evaluate
+With ``vec`` (the default) the frontier itself runs in array form: dirty nodes bucket by logic level, and each level's gates evaluate
 as one gathered :class:`~repro.timing.array_sta.ArraySTA` pin-table fold
 (dirty loads batch the same way over the wire-pin table, the backward
 frontier over the required-entry table by backward level).  A fanin
@@ -72,9 +71,10 @@ class IncrementalTiming:
         wire_cap_per_fanout: fallback lumped wire cap per fanout.
         vec: run the full passes *and* the frontier updates through the
             levelized :class:`~repro.timing.array_sta.ArraySTA` tables —
-            bitwise the same report (``PerfOptions.vec_sta``).  The
-            ``vec=False`` engine keeps the original per-node heap walk
-            and serves as the reference.
+            bitwise the same report.  ``vec=False`` is the reference
+            seam: the original per-node heap walk that the
+            ``invariant.perf.vec`` audit, the equivalence tests and
+            ``benchmarks/scaling.py`` compare against.
 
     The constructor runs one full pass; afterwards
     :meth:`set_position` / :meth:`set_input_arrival` record changes and
@@ -271,9 +271,9 @@ class IncrementalTiming:
             return self.report
         if self._array is not None:
             return self._update_vec()
-        return self._update_naive()
+        return self._update_reference()
 
-    def _update_naive(self) -> TimingReport:
+    def _update_reference(self) -> TimingReport:
         """The reference per-node heap walk (``vec=False``)."""
         self.updates += 1
         report = self.report

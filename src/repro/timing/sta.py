@@ -174,6 +174,11 @@ def analyze(
     Returns:
         A :class:`TimingReport`; node ``arrival`` attributes are updated
         with the worst-case values as a side effect.
+
+    The flow back end times with
+    :func:`repro.timing.array_sta.analyze_array`; this per-node pass is
+    also its reference seam, which the ``invariant.perf.vec`` audit and
+    the equivalence tests compare against bitwise.
     """
     input_arrivals = input_arrivals or {}
     report = TimingReport()

@@ -690,7 +690,15 @@ def check_vec_kernels(
       (:class:`~repro.timing.incremental.IncrementalTiming` with
       ``vec=True``) vs the per-node reference engine over a shared
       deterministic move sequence, including the refreshed required
-      times.
+      times;
+    * the quadratic-placement system of the back end's hypergraph
+      (gates movable, PI/PO positions as fixed pads):
+      :class:`~repro.place.quadratic.QuadraticSystem` with ``vec=True``
+      vs ``vec=False`` — the diagonal, both right-hand sides and the
+      off-diagonal row/column/value streams.
+
+    Together these re-derive, on the flow's own data, every kernel the
+    flows run in place of a naive twin.
     """
     t0 = time.perf_counter()
     target = mapped.name
@@ -774,9 +782,46 @@ def check_vec_kernels(
                 )
 
         problems.extend(_frontier_problems(mapped, wire_model))
+        problems.extend(_quadratic_problems(mapped))
     except Exception as exc:  # kernel crash must not kill the audit
         problems.append(f"vec kernel audit aborted: {exc}")
     return [_result("invariant.perf.vec", target, problems, t0)]
+
+
+def _quadratic_problems(mapped: MappedNetwork) -> List[str]:
+    """Assemble the back end's quadratic placement system both ways and
+    report every stream that is not bitwise-equal.
+
+    The hypergraph is the one the back end places: gate instances
+    movable, PI/PO positions fixed, in the flow's layout image.  An
+    unplaced netlist (a pad without a position) has no such system and
+    yields no problems.
+    """
+    import numpy as np
+
+    from repro.area.estimate import mapped_image
+    from repro.place.hypergraph import mapped_netlist
+    from repro.place.quadratic import QuadraticSystem
+
+    pads = {
+        node.name: node.position
+        for node in mapped.primary_inputs + mapped.primary_outputs
+    }
+    if any(p is None for p in pads.values()):
+        return []
+    netlist = mapped_netlist(mapped, pads)
+    region = mapped_image(mapped.total_cell_area())
+    vec = QuadraticSystem(netlist, region, vec=True)
+    ref = QuadraticSystem(netlist, region, vec=False)
+    problems: List[str] = []
+    for stream in ("_diag", "_bx", "_by", "_rows", "_cols", "_vals"):
+        got = np.asarray(getattr(vec, stream))
+        want = np.asarray(getattr(ref, stream), dtype=got.dtype)
+        if got.shape != want.shape or got.tobytes() != want.tobytes():
+            problems.append(
+                f"quadratic assembly stream {stream[1:]} differs between "
+                f"vec and naive builds")
+    return problems
 
 
 def _frontier_problems(

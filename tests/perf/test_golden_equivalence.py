@@ -1,9 +1,14 @@
-"""Golden equivalence: every fast path is bit-identical to the naive one.
+"""Golden equivalence: every mapper is bit-identical to its reference.
 
-The DP cover breaks cost ties by scan order, positions feed back into
-later cones, and the final netlist hashes all of it together — so the
-fingerprints below (cells, fanins, exact positions, exact arrivals,
-exact solution costs) catch any divergence, not just large ones.
+The reference run injects the plain :class:`Matcher` (``matcher=``) in
+place of the index-pruned default, and Lily's reference walks true
+fanouts from scratch (:func:`true_fanouts`) instead of reading its net
+cache, costing matches through :meth:`_evaluate_general`.  The DP cover
+breaks cost ties by scan order, positions feed back into later cones,
+and the final netlist hashes all of it together — so the fingerprints
+below (cells, fanins, exact positions, exact arrivals, exact solution
+costs) catch any divergence, not just large ones.  The layout kernels
+are held by the ``invariant.perf.vec`` audit.
 """
 
 from __future__ import annotations
@@ -12,18 +17,49 @@ import pytest
 
 from repro.circuits.suite import build_circuit
 from repro.core.lily import LilyAreaMapper, LilyDelayMapper
+from repro.core.rectangles import true_fanouts
+from repro.library.patterns import pattern_set_for
 from repro.map.mis import MisAreaMapper, MisDelayMapper
+from repro.match.treematch import Matcher
 from repro.network.decompose import decompose_to_subject
 from repro.perf import PerfOptions
 
 CIRCUITS = ["misex1", "b9", "apex7"]
 
 VARIANTS = {
-    "index_only": PerfOptions(index_patterns=True, incremental_nets=False),
-    "nets_only": PerfOptions(index_patterns=False, incremental_nets=True),
-    "all_on": PerfOptions(),
+    "default": PerfOptions(),
     "parallel": PerfOptions().with_jobs(2),
 }
+
+
+class _UncachedNets:
+    """Lily reading true fanouts from scratch instead of its net cache."""
+
+    def _true_fanouts(self, node):
+        return true_fanouts(node, self.lifecycle)
+
+
+class _ReferenceLilyArea(_UncachedNets, LilyAreaMapper):
+    def evaluate_match(self, node, match, inputs):
+        return self._evaluate_general(node, match, inputs)
+
+
+class _ReferenceLilyDelay(_UncachedNets, LilyDelayMapper):
+    pass
+
+
+_REFERENCE_CLASS = {
+    LilyAreaMapper: _ReferenceLilyArea,
+    LilyDelayMapper: _ReferenceLilyDelay,
+}
+
+
+def _reference(cls, library, subject):
+    """Fingerprint of ``cls``'s reference mapping ``subject``: the plain
+    matcher and, for Lily, uncached true fanouts and the general cost."""
+    matcher = Matcher(pattern_set_for(library))
+    reference = _REFERENCE_CLASS.get(cls, cls)
+    return _fingerprint(reference(library, matcher=matcher).map(subject))
 
 
 def _fingerprint(result):
@@ -53,20 +89,16 @@ def subjects():
 @pytest.mark.parametrize("circuit", CIRCUITS)
 def test_lily_area_all_variants(subjects, big_lib, circuit):
     subject = subjects[circuit]
-    golden = _fingerprint(
-        LilyAreaMapper(big_lib, perf=PerfOptions.naive()).map(subject)
-    )
+    golden = _reference(LilyAreaMapper, big_lib, subject)
     for name, perf in VARIANTS.items():
         fp = _fingerprint(LilyAreaMapper(big_lib, perf=perf).map(subject))
-        assert fp == golden, f"{circuit}/{name} diverged from naive"
+        assert fp == golden, f"{circuit}/{name} diverged from the reference"
 
 
 @pytest.mark.parametrize("circuit", CIRCUITS)
 def test_mis_area_fast_vs_naive(subjects, big_lib, circuit):
     subject = subjects[circuit]
-    golden = _fingerprint(
-        MisAreaMapper(big_lib, perf=PerfOptions.naive()).map(subject)
-    )
+    golden = _reference(MisAreaMapper, big_lib, subject)
     fast = _fingerprint(MisAreaMapper(big_lib).map(subject))
     assert fast == golden
 
@@ -74,42 +106,10 @@ def test_mis_area_fast_vs_naive(subjects, big_lib, circuit):
 def test_delay_mappers_fast_vs_naive(subjects, big_lib):
     subject = subjects["misex1"]
     for cls in (LilyDelayMapper, MisDelayMapper):
-        golden = _fingerprint(
-            cls(big_lib, perf=PerfOptions.naive()).map(subject)
-        )
+        golden = _reference(cls, big_lib, subject)
         for name, perf in VARIANTS.items():
             fp = _fingerprint(cls(big_lib, perf=perf).map(subject))
             assert fp == golden, f"{cls.__name__}/{name} diverged"
-
-
-def _backend_fingerprint(flow):
-    """Exact layout state after the full backend: placement, wire, delay."""
-    detailed = flow.backend.detailed
-    rows = tuple(
-        (row.index, tuple(row.cells), tuple(sorted(row.x_spans.items())))
-        for row in detailed.rows
-    )
-    positions = tuple(sorted(
-        (name, p.x, p.y) for name, p in detailed.positions.items()
-    ))
-    return (rows, positions, flow.wire_length_mm, flow.chip_area_mm2,
-            flow.delay)
-
-
-def test_full_flow_fast_vs_naive(big_lib):
-    """End-to-end: the whole backend (incremental placement engines,
-    warm-started re-placement, incremental STA, cached quadratic
-    assembly) lands on the bitwise-identical layout the naive engines
-    produce."""
-    from repro.flow.pipeline import lily_flow, mis_flow
-
-    net = build_circuit("misex1")
-    for runner in (mis_flow, lily_flow):
-        fast = runner(net, big_lib, verify=False, perf=PerfOptions())
-        naive = runner(net, big_lib, verify=False, perf=PerfOptions.naive())
-        assert _backend_fingerprint(fast) == _backend_fingerprint(naive), (
-            f"{runner.__name__} backend diverged from naive"
-        )
 
 
 @pytest.mark.parametrize("circuit", CIRCUITS)

@@ -41,15 +41,12 @@ def test_equals_naive_matcher(patterns, small_network, tree_mode):
         assert a == b  # same matches, same order
 
 
-def test_switches_disable_layers():
-    """``index_patterns`` selects the indexed matcher; off, the mapper
-    falls back to the plain naive :class:`Matcher`."""
+def test_default_matcher_and_injection():
+    """Mappers build the indexed matcher unless a caller injects one."""
     from repro.library.standard import big_library
     from repro.map.mis import MisAreaMapper
-    from repro.perf import PerfOptions
 
     library = big_library()
-    indexed = MisAreaMapper(library, perf=PerfOptions())
-    plain = MisAreaMapper(library, perf=PerfOptions(index_patterns=False))
-    assert type(indexed.matcher) is MemoMatcher
-    assert type(plain.matcher) is Matcher
+    reference = Matcher(pattern_set_for(library))
+    assert type(MisAreaMapper(library).matcher) is MemoMatcher
+    assert MisAreaMapper(library, matcher=reference).matcher is reference

@@ -24,8 +24,6 @@ class AuditingLilyMapper(LilyAreaMapper):
     def on_commit(self, node, solution, instance):
         super().on_commit(node, solution, instance)
         cache = self._netcache
-        if cache is None:
-            return
         for uid, entry in list(cache._entries.items()):
             fanin = self._by_uid(uid)
             fresh = true_fanouts(fanin, self.lifecycle)
@@ -80,12 +78,3 @@ def test_clear_empties_everything(audited_run):
     assert not cache._out_entries
     assert not cache._out_deps
 
-
-def test_naive_option_disables_cache():
-    from repro.library.standard import big_library
-    from repro.perf import PerfOptions
-
-    subject = decompose_to_subject(build_circuit("misex1"))
-    mapper = LilyAreaMapper(big_library(), perf=PerfOptions.naive())
-    mapper.map(subject)
-    assert mapper._netcache is None

@@ -1,11 +1,10 @@
-"""Annealing engine equality, and the detailed-placement vec kernels.
+"""Annealing engine equality.
 
 ``simulated_annealing`` has two scoring engines (the full-recompute
 reference and the per-net stamped box cache) that promise bitwise
 identical deltas — and therefore an identical accept/reject sequence and
-an identical final placement (one fixed case is checked in
-``test_incremental_place.py``; these are randomized).  Every comparison
-here is exact.
+an identical final placement (the incremental-placement tests check
+one fixed case; these are randomized).  Every comparison here is exact.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from repro.circuits.random_logic import random_network
 from repro.flow.pipeline import mis_flow
 from repro.library.standard import big_library
 from repro.place.anneal import simulated_annealing
-from repro.place.detailed import detailed_place
 from repro.place.hypergraph import mapped_netlist
 
 
@@ -63,15 +61,3 @@ class TestEngineEquivalence:
         inc, _ = _anneal(base, netlist, incremental=True)
         ref, _ = _anneal(base, netlist, incremental=False)
         assert inc.positions == ref.positions
-
-
-class TestDetailedPlaceVec:
-    @pytest.mark.parametrize("passes", [0, 2])
-    def test_vec_matches_naive(self, passes, placed_case):
-        flow, netlist = placed_case
-        seeds = dict(flow.backend.detailed.positions)
-        vec = detailed_place(netlist, seeds, improvement_passes=passes,
-                             vec=True)
-        naive = detailed_place(netlist, seeds, improvement_passes=passes,
-                               vec=False)
-        assert vec.positions == naive.positions

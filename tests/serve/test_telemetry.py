@@ -108,10 +108,10 @@ class TestRequestTracing:
         assert "job.rejected" in _kinds(events)
 
     def test_degraded_path_traced(self, blif_spec, monkeypatch):
-        def always_degrade(spec, net, library, perf=None, matcher=None):
+        def always_degrade(spec, net, library, matcher=None):
             if matcher is not None:
                 raise RuntimeError("boom")
-            return run_flow(spec, net, library, perf=perf)
+            return run_flow(spec, net, library)
 
         monkeypatch.setattr(serve_server, "run_flow", always_degrade)
         rid = new_request_id()
@@ -127,7 +127,7 @@ class TestRequestTracing:
     def test_timeout_path_traced(self, blif_spec, real_result, monkeypatch):
         release = threading.Event()
 
-        def stuck(spec, net, library, perf=None, matcher=None):
+        def stuck(spec, net, library, matcher=None):
             release.wait(30.0)
             return real_result
 
@@ -145,7 +145,7 @@ class TestRequestTracing:
             server.shutdown()
 
     def test_error_path_traced(self, blif_spec, monkeypatch):
-        def broken(spec, net, library, perf=None, matcher=None):
+        def broken(spec, net, library, matcher=None):
             raise RuntimeError("no flow for you")
 
         monkeypatch.setattr(serve_server, "run_flow", broken)
@@ -162,7 +162,7 @@ class TestRequestTracing:
         release = threading.Event()
         entered = threading.Event()
 
-        def gated(spec, net, library, perf=None, matcher=None):
+        def gated(spec, net, library, matcher=None):
             entered.set()
             release.wait(30.0)
             return real_result

@@ -79,3 +79,38 @@ class TestCheckerOutputs:
 
     def test_small_network_checkers(self, small_network):
         _assert_clean(check_network(small_network), "invariant.network.")
+
+
+class TestVecKernelAudit:
+    """``invariant.perf.vec`` re-derives every array kernel the flows run
+    against its naive twin on the audited netlist."""
+
+    def test_healthy_flow_passes(self, misex1_artifacts):
+        from repro.verify.invariants import check_vec_kernels
+
+        _assert_clean(
+            check_vec_kernels(misex1_artifacts.mapped,
+                              wire_model=misex1_artifacts.wire_model),
+            "invariant.perf.vec")
+
+    def test_perturbed_quadratic_assembly_fails(self, misex1_artifacts,
+                                                monkeypatch):
+        import numpy as np
+
+        import repro.perf.vec as vec
+        from repro.verify.invariants import check_vec_kernels
+
+        real = vec.assemble_quadratic
+
+        def perturbed(*args, **kwargs):
+            diag, bx, by, rows, cols, vals = real(*args, **kwargs)
+            vals = vals.copy()
+            vals[0] = np.nextafter(vals[0], 0.0)  # one ulp, one entry
+            return diag, bx, by, rows, cols, vals
+
+        monkeypatch.setattr(vec, "assemble_quadratic", perturbed)
+        [result] = check_vec_kernels(misex1_artifacts.mapped,
+                                     wire_model=misex1_artifacts.wire_model)
+        assert result.name == "invariant.perf.vec"
+        assert not result.passed
+        assert "quadratic assembly stream vals" in str(result)

@@ -42,7 +42,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.library.cell import Cell, Library, Pin, PinTiming
 from repro.map.base import MapResult, NoMatchError
@@ -385,28 +386,34 @@ def lut_cell(num_inputs: int, bits: int) -> Cell:
 
 @dataclass
 class CutSolution:
-    """The best cut implementation (so far) at a subject node."""
+    """The best cut implementation at a subject node."""
 
     node: SubjectNode
     leaves: Tuple[SubjectNode, ...]
     binding: Optional[NpnBinding]  # None for leaves and reused hawks
-    covered: FrozenSet[SubjectNode]
     cost: float
     area: float = 0.0
     arrival: float = 0.0
 
-    def key(self) -> tuple:
-        """Deterministic comparison key (total order over candidates)."""
-        if self.binding is None:
-            return (self.cost, self.area, "", (), (), False)
-        return (
-            self.cost,
-            self.area,
-            self.binding.cell.name,
-            tuple(n.uid for n in self.leaves),
-            self.binding.pin_negated,
-            self.binding.output_negated,
-        )
+
+def _tie_break(binding: NpnBinding, leaves: Tuple[SubjectNode, ...]) -> tuple:
+    """Order among candidates of equal ``(cost, area)``: a total order, so
+    the chosen cover never depends on enumeration or hash order."""
+    return (binding.cell.name, tuple(n.uid for n in leaves),
+            binding.pin_negated, binding.output_negated)
+
+
+class _CutRecord(NamedTuple):
+    """The cone-independent part of one usable cut of a node.
+
+    Built once per :meth:`CutMapper.map` run, on the node's first visit:
+    the cut's function depends on every leaf and has at least one binding.
+    ``options`` pairs each binding with its implementation area (cell plus
+    inverters), so a cone only adds the leaf solutions' DP costs.
+    """
+
+    leaves: Tuple[SubjectNode, ...]
+    options: Tuple[Tuple[NpnBinding, float], ...]
 
 
 @dataclass(frozen=True)
@@ -484,6 +491,9 @@ class CutMapper:
         self.wire_cap_per_fanout = wire_cap_per_fanout
         self.pad_cap = pad_cap
         self.input_arrivals = dict(input_arrivals or {})
+        # (num_inputs, bits) -> bindings with their implementation area.
+        self._options: Dict[Tuple[int, int],
+                            Tuple[Tuple[NpnBinding, float], ...]] = {}
         # Per-run state, initialised in map().
         self.subject: Optional[SubjectGraph] = None
         self.lifecycle: Optional[LifecycleTracker] = None
@@ -492,6 +502,7 @@ class CutMapper:
         self.memo: Dict[int, CutSolution] = {}
         self.cut_cover: List[CutCoverRecord] = []
         self._cuts: Dict[int, List[Tuple[SubjectNode, ...]]] = {}
+        self._records: Dict[int, List[_CutRecord]] = {}
         self._inverters: Dict[str, MappedNode] = {}
         self._gate_counter = 0
 
@@ -514,9 +525,13 @@ class CutMapper:
                 subject, self.k, self.cuts_per_node)
         cones = logic_cones(subject)
         order = list(range(len(cones)))
-        for index in order:
-            po, cone = cones[index]
-            self._map_cone(po)
+        try:
+            for index in order:
+                po, cone = cones[index]
+                self._map_cone(po)
+        finally:
+            self._cuts = {}
+            self._records = {}
         self.mapped.check()
         live_gates = [
             n for n in subject.transitive_fanin(subject.primary_outputs)
@@ -574,69 +589,92 @@ class CutMapper:
             self.lifecycle.visit(node)
             if OBS.enabled:
                 OBS.metrics.counter("cut.nodes_visited").inc()
-            best: Optional[CutSolution] = None
-            for leaves in self._cuts.get(node.uid, ()):
-                candidate = self._best_at_cut(node, leaves)
-                if candidate is not None and (
-                        best is None or candidate.key() < best.key()):
-                    best = candidate
+            records = self._records.get(node.uid)
+            if records is None:
+                records = self._cut_records(node)
+                self._records[node.uid] = records
+            best = self._best_solution(node, records)
             if best is None:
                 raise NoMatchError(
                     f"no cut match at {node.name} ({node.type.value}); "
                     f"library {self.library.name!r} cannot cover the graph")
             self.memo[node.uid] = best
 
-    def _best_at_cut(
-        self, node: SubjectNode, leaves: Tuple[SubjectNode, ...]
-    ) -> Optional[CutSolution]:
-        """Best binding implementing ``node``'s function over ``leaves``."""
-        tt = cut_function(node, leaves)
-        if tt is None:
-            return None
-        if len(tt.support()) != len(leaves):
-            return None  # vacuous leaf; a smaller cut covers this function
-        interior = cut_cone(node, frozenset(leaves))
-        if interior is None:
-            return None
-        covered = frozenset(interior)
+    def _cut_records(self, node: SubjectNode) -> List[_CutRecord]:
+        """Function, bindings and binding areas of every usable cut.
+
+        Calls :func:`cut_function` once per (node, cut); a cut whose
+        function ignores a leaf (a smaller cut covers it) or that no cell
+        implements is dropped here for the whole run.
+        """
+        records: List[_CutRecord] = []
+        for leaves in self._cuts.get(node.uid, ()):
+            tt = cut_function(node, leaves)
+            if tt is None or len(tt.support()) != len(leaves):
+                continue
+            key = (tt.num_inputs, tt.bits)
+            options = self._options.get(key)
+            if options is None:
+                options = self._priced_bindings(tt)
+                self._options[key] = options
+            if options:
+                records.append(_CutRecord(leaves, options))
+        return records
+
+    def _priced_bindings(
+        self, tt: TruthTable
+    ) -> Tuple[Tuple[NpnBinding, float], ...]:
+        """Bindings of one function, each with cell plus inverter area."""
         if self.lut_k is not None:
-            n = len(leaves)
+            n = tt.num_inputs
             bindings = [NpnBinding(
                 lut_cell(n, tt.bits), tuple(range(n)),
                 tuple([False] * n), False)]
         else:
             bindings = self.table.lookup(tt)
-        best: Optional[CutSolution] = None
-        leaf_solutions = [self._solution_of(leaf) for leaf in leaves]
-        if OBS.enabled:
-            OBS.metrics.counter("cut.states_expanded").inc(len(bindings))
-        for binding in bindings:
-            solution = self._evaluate(node, leaves, binding, covered,
-                                      leaf_solutions)
-            if best is None or solution.key() < best.key():
-                best = solution
-        return best
-
-    def _evaluate(
-        self,
-        node: SubjectNode,
-        leaves: Tuple[SubjectNode, ...],
-        binding: NpnBinding,
-        covered: FrozenSet[SubjectNode],
-        leaf_solutions: Sequence[CutSolution],
-    ) -> CutSolution:
-        """DP cost of one binding at one cut (area or timing objective)."""
         inverter_area = self.inverter.area if self.inverter else 0.0
-        impl_area = binding.cell.area + \
-            inverter_area * binding.inverter_count()
-        area = impl_area + sum(s.area for s in leaf_solutions)
-        if self.mode == "area":
-            cost = impl_area + sum(s.cost for s in leaf_solutions)
-            return CutSolution(node, leaves, binding, covered, cost,
-                               area=area)
-        arrival = self._estimated_arrival(node, binding, leaf_solutions)
-        return CutSolution(node, leaves, binding, covered, arrival,
-                           area=area, arrival=arrival)
+        return tuple(
+            (binding,
+             binding.cell.area + inverter_area * binding.inverter_count())
+            for binding in bindings)
+
+    def _best_solution(
+        self, node: SubjectNode, records: Sequence[_CutRecord]
+    ) -> Optional[CutSolution]:
+        """Cheapest (cut, binding) under the current leaf solutions.
+
+        Candidates are ordered by ``(cost, area)`` and then
+        :func:`_tie_break`; the tie-break key is only built on a tie.
+        """
+        timing = self.mode == "timing"
+        load = self._estimated_load(node) if timing else 0.0
+        if OBS.enabled:
+            OBS.metrics.counter("cut.states_expanded").inc(
+                sum(len(record.options) for record in records))
+        best: Optional[Tuple[NpnBinding, Tuple[SubjectNode, ...]]] = None
+        best_cost = best_area = 0.0
+        for leaves, options in records:
+            leaf_solutions = [self._solution_of(leaf) for leaf in leaves]
+            leaf_area = sum(s.area for s in leaf_solutions)
+            leaf_cost = 0.0 if timing else sum(s.cost for s in leaf_solutions)
+            for binding, impl_area in options:
+                if timing:
+                    cost = self._estimated_arrival(binding, load,
+                                                   leaf_solutions)
+                else:
+                    cost = impl_area + leaf_cost
+                area = impl_area + leaf_area
+                if best is None or cost < best_cost or (
+                        cost == best_cost and (area < best_area or (
+                            area == best_area and _tie_break(binding, leaves)
+                            < _tie_break(*best)))):
+                    best = (binding, leaves)
+                    best_cost, best_area = cost, area
+        if best is None:
+            return None
+        binding, leaves = best
+        return CutSolution(node, leaves, binding, best_cost, area=best_area,
+                           arrival=best_cost if timing else 0.0)
 
     def _estimated_load(self, node: SubjectNode) -> float:
         """The MIS constant-load model of ``repro.map.mis``."""
@@ -650,11 +688,11 @@ class CutMapper:
 
     def _estimated_arrival(
         self,
-        node: SubjectNode,
         binding: NpnBinding,
+        load: float,
         leaf_solutions: Sequence[CutSolution],
     ) -> float:
-        load = self._estimated_load(node)
+        """Arrival at a node driving ``load`` through ``binding``."""
         inv_timing = self.inverter.pins[0].timing if self.inverter else None
         inv_cap = self.inverter.pins[0].input_cap if self.inverter else 0.0
         # An output inverter sits between the cell and the fanouts: the
@@ -682,14 +720,12 @@ class CutMapper:
         if node.is_pi or node.is_constant:
             arrival = self.input_arrivals.get(node.name, 0.0)
             cost = arrival if self.mode == "timing" else 0.0
-            return CutSolution(node, (), None, frozenset(), cost,
-                               arrival=arrival)
+            return CutSolution(node, (), None, cost, arrival=arrival)
         if self.lifecycle.is_hawk(node):
             instance = self.instances[node.uid]
             arrival = instance.arrival if instance.arrival is not None else 0.0
             cost = arrival if self.mode == "timing" else 0.0
-            return CutSolution(node, (), None, frozenset(), cost,
-                               arrival=arrival)
+            return CutSolution(node, (), None, cost, arrival=arrival)
         return self.memo[node.uid]
 
     # -- cover commitment -----------------------------------------------------
@@ -764,7 +800,8 @@ class CutMapper:
             output = self._inverted(instance)
             output.arrival = solution.arrival
         self.lifecycle.make_hawk(node)
-        for inner in solution.covered:
+        # The interior is walked here, for the chosen cut only.
+        for inner in cut_cone(node, solution.leaves):
             if inner is not node:
                 self.lifecycle.make_dove(inner)
         self.instances[node.uid] = output

@@ -16,138 +16,96 @@ with structural :class:`~repro.match.treematch.Match` objects.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Container, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.library.cell import Cell, Library
 from repro.library.patterns import CellPattern, pattern_set_for
 from repro.match.treematch import Match
-from repro.network.logic import TruthTable
-from repro.network.subject import SubjectGraph, SubjectNode
+from repro.network.logic import TruthTable, variable_bits
+from repro.network.subject import SubjectGraph, SubjectNode, SubjectNodeType
 
-__all__ = ["BooleanMatcher", "enumerate_cuts", "cut_function", "cut_cone"]
+__all__ = ["BooleanMatcher", "cut_function", "cut_cone"]
 
 #: Cuts retained per node during enumeration (priority: fewer leaves).
 DEFAULT_CUTS_PER_NODE = 24
 
-
-def enumerate_cuts(
-    graph: SubjectGraph,
-    k: int,
-    cuts_per_node: int = DEFAULT_CUTS_PER_NODE,
-) -> Dict[int, List[FrozenSet[SubjectNode]]]:
-    """All k-feasible cuts per gate node (trivial cut excluded).
-
-    Standard bottom-up enumeration: a cut of a NAND is the union of one
-    cut from each fanin (fanin trivial cuts give the direct-fanin cut);
-    the per-node list is pruned to ``cuts_per_node`` smallest.
-    """
-    # For every node we track its cut set *including* the trivial cut
-    # {node}, which serves as the leaf choice for fanouts.
-    table: Dict[int, List[FrozenSet[SubjectNode]]] = {}
-    for node in graph.topological_order():
-        if node.is_po:
-            continue
-        if not node.is_gate:
-            table[node.uid] = [frozenset([node])]
-            continue
-        merged: Set[FrozenSet[SubjectNode]] = set()
-        fanin_cut_lists = [
-            table.get(f.uid, [frozenset([f])]) for f in node.fanins
-        ]
-        for combo in itertools.product(*fanin_cut_lists):
-            union: FrozenSet[SubjectNode] = frozenset().union(*combo)
-            if len(union) <= k:
-                merged.add(union)
-        ordered = sorted(
-            merged, key=lambda c: (len(c), sorted(n.uid for n in c))
-        )[:cuts_per_node]
-        table[node.uid] = [frozenset([node])] + ordered
-    # Strip the trivial cuts from the externally visible result.
-    return {
-        uid: [c for c in cuts if c != frozenset([graph_node])]
-        for uid, cuts in table.items()
-        for graph_node in [_node_of(graph, uid)]
-        if _node_of(graph, uid).is_gate
-    }
-
-
-def _node_of(graph: SubjectGraph, uid: int) -> SubjectNode:
-    # Nodes are append-only; uid indexes creation order but sweeping can
-    # leave gaps, so use a lazily built map.
-    cache = getattr(graph, "_uid_map", None)
-    if cache is None or len(cache) != len(graph.nodes):
-        cache = {n.uid: n for n in graph.nodes}
-        graph._uid_map = cache  # type: ignore[attr-defined]
-    return cache[uid]
+_GATE_TYPES = (SubjectNodeType.NAND2, SubjectNodeType.INV)
 
 
 def _cone_nodes(
-    root: SubjectNode, leaves: FrozenSet[SubjectNode]
+    root: SubjectNode, leaf_uids: Container[int]
 ) -> Optional[List[SubjectNode]]:
     """Interior nodes of the cut cone in topological order (root last).
 
-    Returns ``None`` if a path from the root escapes to a PI/constant not
-    in the leaf set (not a valid cut — cannot happen for enumerated cuts,
-    checked defensively).
+    An iterative depth-first walk from the root that stops at the leaves
+    (given by uid), so cone depth is not bounded by the interpreter's
+    recursion limit.  Returns ``None`` if a path from the root escapes to
+    a PI/constant not in the leaf set (not a valid cut).
     """
-    order: List[SubjectNode] = []
-    state: Dict[int, int] = {}
-
-    def visit(node: SubjectNode) -> bool:
-        if node in leaves:
-            return True
-        if not node.is_gate:
-            return False
-        s = state.get(node.uid, 0)
-        if s == 2:
-            return True
-        state[node.uid] = 1
-        for f in node.fanins:
-            if not visit(f):
-                return False
-        state[node.uid] = 2
-        order.append(node)
-        return True
-
-    if not visit(root):
+    if root.uid in leaf_uids:
+        return []
+    if root.type not in _GATE_TYPES:
         return None
+    order: List[SubjectNode] = []
+    done: Set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        for fanin in node.fanins:
+            uid = fanin.uid
+            if uid in leaf_uids or uid in done:
+                continue
+            if fanin.type not in _GATE_TYPES:
+                return None
+            stack.append(fanin)
+            break
+        else:  # every fanin is a leaf or already placed
+            stack.pop()
+            done.add(node.uid)
+            order.append(node)
     return order
 
 
 def cut_cone(
-    root: SubjectNode, leaves: FrozenSet[SubjectNode]
+    root: SubjectNode, leaves: Iterable[SubjectNode]
 ) -> Optional[List[SubjectNode]]:
-    """Public alias of :func:`_cone_nodes` for the cut-covering backend.
+    """Interior of the cut ``(root, leaves)``: gates in topological order.
 
-    The cut mapper (:mod:`repro.map.cuts`) needs the interior of a cut to
-    drive the hawk/dove lifecycle exactly as tree matches do; exposing
-    the traversal here keeps both matchers on one definition of a cut's
-    cone.
+    The cut mapper (:mod:`repro.map.cuts`) walks it to turn a committed
+    cut's interior into doves, and the Boolean matcher to fill a match's
+    covered set; both share :func:`cut_function`'s definition of a cone.
     """
-    return _cone_nodes(root, leaves)
+    return _cone_nodes(root, {leaf.uid for leaf in leaves})
 
 
 def cut_function(
     root: SubjectNode, leaves: Sequence[SubjectNode]
 ) -> Optional[TruthTable]:
-    """Truth table of ``root`` over the ordered cut leaves."""
-    cone = _cone_nodes(root, frozenset(leaves))
+    """Truth table of ``root`` over the ordered cut leaves.
+
+    Leaf ``i`` is variable ``i``.  Every cone gate is evaluated on all
+    ``2**len(leaves)`` minterms at once, as one plain int, in one pass
+    over :func:`_cone_nodes`; only the result becomes a
+    :class:`TruthTable`.  Returns ``None`` if ``leaves`` is not a cut of
+    ``root``.
+    """
+    n = len(leaves)
+    values: Dict[int, int] = {
+        leaf.uid: variable_bits(i, n) for i, leaf in enumerate(leaves)
+    }
+    cone = _cone_nodes(root, values)
     if cone is None:
         return None
-    n = len(leaves)
-    values: Dict[int, TruthTable] = {
-        leaf.uid: TruthTable.variable(i, n) for i, leaf in enumerate(leaves)
-    }
+    full = (1 << (1 << n)) - 1
     for node in cone:
-        fanin_tts = [values[f.uid] for f in node.fanins]
-        local = node.truth_table()
-        # Compose: evaluate the (1- or 2-input) local function.
-        if len(fanin_tts) == 1:
-            values[node.uid] = ~fanin_tts[0] if local == TruthTable(1, 0b01) \
-                else fanin_tts[0]
-        else:
-            values[node.uid] = fanin_tts[0].nand(fanin_tts[1])
-    return values[root.uid]
+        fanins = node.fanins
+        if len(fanins) == 1:  # INV
+            values[node.uid] = full ^ values[fanins[0].uid]
+        else:  # NAND2
+            values[node.uid] = full ^ (
+                values[fanins[0].uid] & values[fanins[1].uid])
+    return TruthTable(n, values[root.uid])
 
 
 class BooleanMatcher:
@@ -180,7 +138,7 @@ class BooleanMatcher:
         for pattern in patterns.patterns:
             self._a_pattern.setdefault(pattern.cell.name, pattern)
         self._graph: Optional[SubjectGraph] = None
-        self._cuts: Dict[int, List[FrozenSet[SubjectNode]]] = {}
+        self._cuts: Dict[int, List[Tuple[SubjectNode, ...]]] = {}
 
     @staticmethod
     def _p_key(tt: TruthTable) -> Tuple[int, int]:
@@ -190,8 +148,10 @@ class BooleanMatcher:
 
     def bind(self, graph: SubjectGraph) -> None:
         """Enumerate cuts for a subject graph (required before matching)."""
+        from repro.map.cuts import enumerate_priority_cuts
+
         self._graph = graph
-        self._cuts = enumerate_cuts(graph, self.k, self.cuts_per_node)
+        self._cuts = enumerate_priority_cuts(graph, self.k, self.cuts_per_node)
 
     def matches_at(self, node: SubjectNode) -> List[Match]:
         if not node.is_gate:
@@ -200,8 +160,7 @@ class BooleanMatcher:
             raise RuntimeError("BooleanMatcher.bind(graph) must run first")
         found: List[Match] = []
         seen: Set[tuple] = set()
-        for cut in self._cuts.get(node.uid, []):
-            leaves = sorted(cut, key=lambda n: n.uid)
+        for leaves in self._cuts.get(node.uid, []):
             tt = cut_function(node, leaves)
             if tt is None:
                 continue
@@ -215,8 +174,7 @@ class BooleanMatcher:
                 if perm is None:
                     continue
                 inputs = tuple(leaves[perm[i]] for i in range(len(leaves)))
-                cone = _cone_nodes(node, frozenset(leaves)) or []
-                covered = frozenset(cone)
+                covered = frozenset(cut_cone(node, leaves))
                 if self.tree_mode and any(
                     n is not node and n.num_fanouts != 1 for n in covered
                 ):

@@ -13,14 +13,35 @@ networks are far smaller than that (the big library tops out at 6 inputs).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["Cube", "SopCover", "TruthTable"]
+__all__ = ["Cube", "SopCover", "TruthTable", "variable_bits"]
 
 #: Maximum support size for dense truth-table operations.
 MAX_TT_INPUTS = 16
+
+
+@functools.lru_cache(maxsize=None)
+def variable_bits(index: int, num_inputs: int) -> int:
+    """Truth-table bits of the projection ``x_index`` over ``num_inputs``.
+
+    Bit ``m`` is set exactly when bit ``index`` of ``m`` is: blocks of
+    ``2**index`` zeros then ones, repeated across the ``2**num_inputs``
+    minterms.
+    """
+    if not 0 <= index < num_inputs <= MAX_TT_INPUTS:
+        raise ValueError(
+            f"variable {index} out of range for {num_inputs} inputs")
+    block = 1 << index
+    bits = ((1 << block) - 1) << block
+    width = block << 1
+    while width < 1 << num_inputs:
+        bits |= bits << width
+        width <<= 1
+    return bits
 
 
 @dataclass(frozen=True)
@@ -159,13 +180,7 @@ class TruthTable:
     @staticmethod
     def variable(index: int, num_inputs: int) -> "TruthTable":
         """The projection function ``x_index`` over ``num_inputs`` variables."""
-        if not 0 <= index < num_inputs:
-            raise ValueError(f"variable {index} out of range for {num_inputs} inputs")
-        bits = 0
-        for m in range(1 << num_inputs):
-            if (m >> index) & 1:
-                bits |= 1 << m
-        return TruthTable(num_inputs, bits)
+        return TruthTable(num_inputs, variable_bits(index, num_inputs))
 
     @staticmethod
     def from_function(num_inputs: int, fn) -> "TruthTable":
@@ -212,8 +227,14 @@ class TruthTable:
         return None
 
     def depends_on(self, index: int) -> bool:
-        """Return whether the function actually depends on variable ``index``."""
-        return self.cofactor(index, False) != self.cofactor(index, True)
+        """Return whether the function actually depends on variable ``index``.
+
+        Bit-parallel: the minterms with ``x_index = 1``, shifted down onto
+        their ``x_index = 0`` partners, must differ from those partners
+        somewhere (the two cofactors differ).
+        """
+        high = variable_bits(index, self.num_inputs)
+        return (self.bits & high) >> (1 << index) != self.bits & ~high
 
     def support(self) -> List[int]:
         """Indices of variables the function truly depends on."""

@@ -1,6 +1,6 @@
 """Unit and oracle tests for the cut-based covering backend.
 
-Four families:
+Five families:
 
 * **enumeration oracle** — on random ≤12-gate DAGs, a brute-force
   (unbounded) k-feasible cut enumeration is the ground truth: the
@@ -14,6 +14,12 @@ Four families:
   the fast audit (including the cut-cover invariant), fusion is never
   worse than either backend, and mapper specs parse/reject
   with the pinned messages;
+* **per-run cut records** — the mapper derives each (node, cut)
+  function once per run and reuses it in every cone; a reference mapper
+  that re-derives every cut in every cone from scratch (a ``TruthTable``
+  composed gate by gate) yields the identical cover, netlist and
+  ``cut.states_expanded`` count, and cones deeper than the recursion
+  limit map and audit;
 * **determinism** — two *separate interpreter processes* with different
   hash seeds produce bit-identical covers.
 """
@@ -28,14 +34,19 @@ import sys
 
 import pytest
 
+import repro.map.cuts as cuts_module
+from repro.circuits.suite import build_circuit
+from repro.map.base import NoMatchError
 from repro.map.blif_io import write_mapped_blif
 from repro.map.cuts import (
     CutError,
     CutMapper,
     CutMapResult,
+    CutSolution,
     FusionMapper,
     MapperSpec,
     MapperSpecError,
+    NpnBinding,
     _cut_priority,
     enumerate_priority_cuts,
     lut_cell,
@@ -44,10 +55,13 @@ from repro.map.cuts import (
     worst_arrival,
 )
 from repro.map.mis import MisAreaMapper, MisDelayMapper
+from repro.match.boolmatch import cut_cone, cut_function
 from repro.network.decompose import decompose_to_subject
 from repro.network.logic import TruthTable
-from repro.network.subject import SubjectGraph
+from repro.network.subject import SubjectGraph, SubjectNodeType
+from repro.obs import OBS
 from repro.verify import audit_mapping
+from repro.verify.invariants import check_cut_cover
 
 #: Cut width used throughout the oracle tests.
 ORACLE_K = 4
@@ -356,6 +370,190 @@ def test_fusion_returns_the_winning_result_unchanged(small_network,
     for mode in ("area", "timing"):
         tied = FusionMapper(big_lib, mode=mode).map(wire)
         assert not isinstance(tied, CutMapResult)
+
+
+# -- per-run cut records against the per-call reference ------------------------
+
+
+def _reference_cut_function(root, leaves):
+    """A cut's function composed as :class:`TruthTable` objects, one per
+    cone gate, over the :func:`cut_cone` interior."""
+    interior = cut_cone(root, leaves)
+    if interior is None:
+        return None
+    n = len(leaves)
+    values = {leaf.uid: TruthTable.variable(i, n)
+              for i, leaf in enumerate(leaves)}
+    for node in interior:
+        fanins = [values[f.uid] for f in node.fanins]
+        if node.type is SubjectNodeType.INV:
+            values[node.uid] = ~fanins[0]
+        else:
+            values[node.uid] = fanins[0].nand(fanins[1])
+    return values[root.uid]
+
+
+class _PerCallCutMapper(CutMapper):
+    """The covering DP without per-run records: every cone re-derives the
+    function, interior, support and bindings of every cut it visits, and
+    compares candidates by one full key tuple."""
+
+    def _solve_cone(self, root):
+        for node in self._cone_topological(root):
+            if self.lifecycle.is_hawk(node):
+                continue
+            self.lifecycle.visit(node)
+            best = None
+            for leaves in self._cuts.get(node.uid, ()):
+                candidate = self._best_at_cut(node, leaves)
+                if candidate is not None and (
+                        best is None or candidate[0] < best[0]):
+                    best = candidate
+            if best is None:
+                raise NoMatchError(f"no cut match at {node.name}")
+            self.memo[node.uid] = best[1]
+
+    def _best_at_cut(self, node, leaves):
+        tt = _reference_cut_function(node, leaves)
+        if tt is None or len(tt.support()) != len(leaves):
+            return None
+        if cut_cone(node, leaves) is None:
+            return None
+        if self.lut_k is not None:
+            n = len(leaves)
+            bindings = [NpnBinding(lut_cell(n, tt.bits), tuple(range(n)),
+                                   tuple([False] * n), False)]
+        else:
+            bindings = self.table.lookup(tt)
+        leaf_solutions = [self._solution_of(leaf) for leaf in leaves]
+        if OBS.enabled:
+            OBS.metrics.counter("cut.states_expanded").inc(len(bindings))
+        inverter_area = self.inverter.area if self.inverter else 0.0
+        best = None
+        for binding in bindings:
+            impl_area = binding.cell.area + \
+                inverter_area * binding.inverter_count()
+            area = impl_area + sum(s.area for s in leaf_solutions)
+            if self.mode == "area":
+                cost = impl_area + sum(s.cost for s in leaf_solutions)
+                arrival = 0.0
+            else:
+                cost = arrival = self._estimated_arrival(
+                    binding, self._estimated_load(node), leaf_solutions)
+            key = (cost, area, binding.cell.name,
+                   tuple(n.uid for n in leaves), binding.pin_negated,
+                   binding.output_negated)
+            if best is None or key < best[0]:
+                best = (key, CutSolution(node, leaves, binding, cost,
+                                         area=area, arrival=arrival))
+        return best
+
+
+#: The ``synth_cuts`` benchmark circuits plus three suite circuits.
+RECORD_ORACLE_CIRCUITS = ("synth:19910611:100", "synth:19910612:100",
+                          "synth:19910613:100", "misex1", "b9", "9symml")
+RECORD_ORACLE_CONFIGS = [(mode, lut_k) for mode in ("area", "timing")
+                         for lut_k in (None, 4)]
+
+
+def _mapped_with_states(mapper, subject):
+    OBS.enable(reset=True)
+    try:
+        result = mapper.map(subject)
+        states = OBS.metrics.snapshot_counters().get("cut.states_expanded")
+    finally:
+        OBS.disable()
+    return result, states
+
+
+@pytest.fixture(scope="module")
+def record_oracle_subjects():
+    return {name: decompose_to_subject(build_circuit(name))
+            for name in RECORD_ORACLE_CIRCUITS}
+
+
+@pytest.mark.parametrize("circuit", RECORD_ORACLE_CIRCUITS)
+def test_cut_records_match_per_call_reference(circuit, big_lib,
+                                              record_oracle_subjects):
+    """Reusing each cut's function and bindings across cones changes
+    nothing: same cover records, area, BLIF and expanded states."""
+    subject = record_oracle_subjects[circuit]
+    for mode, lut_k in RECORD_ORACLE_CONFIGS:
+        got, got_states = _mapped_with_states(
+            CutMapper(big_lib, mode=mode, lut_k=lut_k), subject)
+        want, want_states = _mapped_with_states(
+            _PerCallCutMapper(big_lib, mode=mode, lut_k=lut_k), subject)
+        config = f"{circuit} {mode} lut_k={lut_k}"
+        assert got.cut_cover == want.cut_cover, config
+        assert got.cell_area == want.cell_area, config
+        assert write_mapped_blif(got.mapped) == \
+            write_mapped_blif(want.mapped), config
+        assert got_states == want_states and got_states, config
+
+
+@pytest.mark.parametrize("circuit", RECORD_ORACLE_CIRCUITS[:4])
+def test_cut_function_matches_truth_table_composition(
+        circuit, record_oracle_subjects):
+    """The bit-parallel :func:`cut_function` against the gate-by-gate
+    ``TruthTable`` composition, on every enumerated cut."""
+    subject = record_oracle_subjects[circuit]
+    nodes = {node.uid: node for node in subject.nodes}
+    for uid, cuts in enumerate_priority_cuts(subject, 4).items():
+        for leaves in cuts:
+            assert cut_function(nodes[uid], leaves) == \
+                _reference_cut_function(nodes[uid], leaves)
+
+
+@pytest.mark.parametrize("mode, lut_k", RECORD_ORACLE_CONFIGS)
+def test_cut_function_called_once_per_pair_per_run(mode, lut_k, big_lib,
+                                                   monkeypatch):
+    """The mapper resolves ``repro.map.cuts.cut_function`` by name and
+    calls it once per distinct (root, leaves) pair in each ``map()``."""
+    calls = []
+
+    def counting(root, leaves):
+        calls.append((root.uid, tuple(leaf.uid for leaf in leaves)))
+        return cut_function(root, leaves)
+
+    monkeypatch.setattr(cuts_module, "cut_function", counting)
+    subject = decompose_to_subject(build_circuit("synth:19910611:100"))
+    mapper = CutMapper(big_lib, mode=mode, lut_k=lut_k)
+    for _run in range(2):
+        del calls[:]
+        mapper.map(subject)
+        assert calls, "the mapper never called cut_function"
+        assert len(calls) == len(set(calls))
+    # The records are per run: nothing is left to reuse afterwards.
+    assert not mapper._records and not mapper._cuts
+
+
+def test_cones_deeper_than_the_recursion_limit(big_lib):
+    """A 1200-gate NAND chain re-reading input ``a`` keeps the cut
+    ``{a, b}`` at its root; mapping, the cut-cover audit and the cone
+    walk must not recurse once per cone gate."""
+    depth = 1200
+    g = SubjectGraph("deep_chain")
+    a = g.add_primary_input("a")
+    b = g.add_primary_input("b")
+    node = g.nand(a, b)
+    for _ in range(depth - 1):
+        node = g.nand(node, a)
+    g.add_primary_output("f", node)
+    assert sys.getrecursionlimit() < depth
+    interior = cut_cone(node, (a, b))
+    assert interior is not None and len(interior) == depth
+    assert interior[-1] is node
+    # nand(x, a) alternates !(a*b) and !a + b; the chain has even depth.
+    assert cut_function(node, (a, b)) == TruthTable(2, 0b1101)
+    # Two priority cuts per node keep {a, b} (lowest uids) while bounding
+    # the quadratic cost of re-walking the chain from every node.
+    result = CutMapper(big_lib, cuts_per_node=2).map(g)
+    assert any(record.leaves == (a.uid, b.uid) and record.root == node.uid
+               for record in result.cut_cover)
+    checks = check_cut_cover(g, result.mapped, result.cut_cover)
+    assert all(check.passed for check in checks), checks
+    report = audit_mapping(result, level="fast")
+    assert report.passed, [str(c) for c in report.failures]
 
 
 # -- cross-process determinism ------------------------------------------------

@@ -6,11 +6,11 @@ import pytest
 
 from repro.library.patterns import pattern_set_for
 from repro.library.standard import big_library
+from repro.map.cuts import enumerate_priority_cuts
 from repro.match.boolmatch import (
     BooleanMatcher,
     UnionMatcher,
     cut_function,
-    enumerate_cuts,
 )
 from repro.match.treematch import Matcher
 from repro.network.blif import parse_blif
@@ -31,9 +31,11 @@ def and3_graph():
 
 
 class TestCutEnumeration:
+    """The enumerator :meth:`BooleanMatcher.bind` runs."""
+
     def test_cuts_of_and3(self, and3_graph):
         g, root = and3_graph
-        cuts = enumerate_cuts(g, k=4)
+        cuts = enumerate_priority_cuts(g, 4)
         root_cuts = cuts[root.uid]
         leaf_sets = {frozenset(n.name for n in cut) for cut in root_cuts}
         assert {"a", "b", "c"} in leaf_sets  # the full-cone cut
@@ -41,8 +43,8 @@ class TestCutEnumeration:
 
     def test_trivial_cut_excluded(self, and3_graph):
         g, root = and3_graph
-        cuts = enumerate_cuts(g, k=4)
-        assert frozenset([root]) not in cuts[root.uid]
+        cuts = enumerate_priority_cuts(g, 4)
+        assert all(root not in cut for cut in cuts[root.uid])
 
     def test_k_limits_width(self):
         g = SubjectGraph()
@@ -51,7 +53,7 @@ class TestCutEnumeration:
         n2 = g.nand(ins[2], ins[3])
         root = g.nand(n1, n2)
         g.add_primary_output("f", root)
-        cuts = enumerate_cuts(g, k=2)
+        cuts = enumerate_priority_cuts(g, 2)
         assert all(len(c) <= 2 for c in cuts[root.uid])
 
 

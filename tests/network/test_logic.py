@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.logic import Cube, SopCover, TruthTable
+from repro.network.logic import Cube, SopCover, TruthTable, variable_bits
 
 
 def random_tables(max_inputs=4):
@@ -120,6 +120,46 @@ class TestTruthTableStructure:
         assert b.support() == [1]
         assert not b.depends_on(0)
         assert b.depends_on(1)
+
+    @staticmethod
+    def _assert_support_is_cofactor_definition(tt):
+        by_cofactor = [i for i in range(tt.num_inputs)
+                       if tt.cofactor(i, False) != tt.cofactor(i, True)]
+        for i in range(tt.num_inputs):
+            assert tt.depends_on(i) == (i in by_cofactor), (tt, i)
+        assert tt.support() == by_cofactor, tt
+
+    def test_support_matches_cofactors_exhaustively(self):
+        """The bit-mask ``depends_on`` equals the cofactor definition on
+        every function of up to three inputs."""
+        for n in range(4):
+            for bits in range(1 << (1 << n)):
+                self._assert_support_is_cofactor_definition(
+                    TruthTable(n, bits))
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_support_matches_cofactors_sampled(self, n, seeded_rng):
+        rng = seeded_rng("support-vs-cofactor", n)
+        for _ in range(200):
+            bits = rng.getrandbits(1 << n)
+            # Also draw functions that ignore some variables: the sparse
+            # supports are where a wrong mask would show.
+            dropped = rng.sample(range(n), rng.randint(0, n))
+            tt = TruthTable(n, bits)
+            for var in dropped:
+                tt = tt.cofactor(var, rng.random() < 0.5)
+            self._assert_support_is_cofactor_definition(tt)
+
+    def test_variable_bits_is_the_projection(self):
+        for n in range(1, 7):
+            for i in range(n):
+                expected = sum(1 << m for m in range(1 << n) if (m >> i) & 1)
+                assert variable_bits(i, n) == expected
+                assert TruthTable.variable(i, n).bits == expected
+        with pytest.raises(ValueError):
+            variable_bits(3, 3)
+        with pytest.raises(ValueError):
+            TruthTable.variable(-1, 2)
 
     def test_shrink_to_support(self):
         b = TruthTable.variable(1, 3)
